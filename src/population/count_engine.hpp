@@ -3,9 +3,10 @@
 // On a clique, agents are exchangeable, so the configuration is fully
 // described by per-state counts. One interaction samples the initiator state
 // with probability c_i / n and the responder state from the remaining n − 1
-// agents, via a Fenwick tree — O(log s) per interaction. This is the engine
-// of choice when the state count s is large (the paper's Figure 4 uses
-// s up to 16340 and the "n-state AVC" of Figure 3 uses s ≈ n, where an
+// agents, via two prefix searches in a Fenwick tree — O(log s) per
+// interaction, with tree updates only for agents that change state. This is
+// the engine of choice when the state count s is large (the paper's Figure 4
+// uses s up to 16340 and the "n-state AVC" of Figure 3 uses s ≈ n, where an
 // s × s reaction table would not fit in memory).
 #pragma once
 
@@ -107,13 +108,13 @@ class CountEngine {
   // Executes one interaction on a uniformly random ordered pair of distinct
   // agents.
   void step(Xoshiro256ss& rng) {
-    const auto a = static_cast<State>(tree_.find_by_prefix(rng.below(num_agents_)));
-    // Sample the responder from the other n − 1 agents: exclude one agent of
-    // state a, draw, then restore.
-    adjust(a, -1);
-    const auto b =
-        static_cast<State>(tree_.find_by_prefix(rng.below(num_agents_ - 1)));
-    adjust(a, +1);
+    // Agents are laid out in state order; the initiator is the agent at
+    // position u and the responder the agent at position v of the other
+    // n − 1, i.e. at v, or v + 1 once past u.
+    const std::uint64_t u = rng.below(num_agents_);
+    const auto a = static_cast<State>(tree_.find_by_prefix(u));
+    const std::uint64_t v = rng.below(num_agents_ - 1);
+    const auto b = static_cast<State>(tree_.find_by_prefix(v < u ? v : v + 1));
 
     const Transition t = protocol_.apply(a, b);
     const bool null = is_null(t, a, b);
@@ -138,13 +139,18 @@ class CountEngine {
     tree_.add(q, delta);
   }
 
+  // Moves only the participants whose state changes.
   void apply_reaction(State a, State b, const Transition& t) {
-    adjust(a, -1);
-    adjust(b, -1);
-    adjust(t.initiator, +1);
-    adjust(t.responder, +1);
-    move_output(a, t.initiator);
-    move_output(b, t.responder);
+    if (t.initiator != a) {
+      adjust(a, -1);
+      adjust(t.initiator, +1);
+      move_output(a, t.initiator);
+    }
+    if (t.responder != b) {
+      adjust(b, -1);
+      adjust(t.responder, +1);
+      move_output(b, t.responder);
+    }
   }
 
   void move_output(State from, State to) noexcept {

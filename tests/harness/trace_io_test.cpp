@@ -8,6 +8,7 @@
 
 #include "population/count_engine.hpp"
 #include "protocols/voter.hpp"
+#include "temp_path.hpp"
 #include "util/rng.hpp"
 
 namespace popbean {
@@ -15,7 +16,7 @@ namespace {
 
 class TraceIoTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/popbean_trace_test.csv";
+  std::string path_ = unique_temp_path("popbean_trace_test", ".csv");
 
   void TearDown() override { std::remove(path_.c_str()); }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/avc.hpp"
+#include "core/avc_params.hpp"
 #include "harness/experiment.hpp"
 #include "population/run.hpp"
 #include "protocols/four_state.hpp"
@@ -50,6 +51,45 @@ TEST(DeterminismTest, GoldenRunsAreRepeatable) {
     EXPECT_EQ(first.interactions, second.interactions) << to_string(kind);
     EXPECT_EQ(first.decided, second.decided) << to_string(kind);
   }
+}
+
+// Pinned cross-build goldens: (interactions, decided) for fixed instances and
+// seeds, recorded once and compared against constants rather than against a
+// second run of the same binary. A sampler rewrite that changes any seeded
+// trajectory fails here.
+struct PinnedRun {
+  std::uint64_t interactions;
+  Output decided;
+};
+
+template <ProtocolLike P>
+void expect_pinned(const P& protocol, const MajorityInstance& instance,
+                   EngineKind kind, std::uint64_t seed, PinnedRun pinned) {
+  const RunResult run = run_majority_once(protocol, instance, kind, seed, 0,
+                                          1'000'000'000'000ULL);
+  ASSERT_TRUE(run.converged()) << to_string(kind);
+  EXPECT_EQ(run.interactions, pinned.interactions) << to_string(kind);
+  EXPECT_EQ(run.decided, pinned.decided) << to_string(kind);
+}
+
+TEST(DeterminismTest, SkipEnginePinnedGoldens) {
+  expect_pinned(FourStateProtocol{}, {1001, 1, Opinion::A}, EngineKind::kSkip,
+                2015, {4228256, 1});
+  const avc::AvcParams s100 = avc::for_epsilon(0.01);  // s = 100
+  ASSERT_EQ(s100.num_states(), 100);
+  expect_pinned(avc::AvcProtocol(s100.m, s100.d), {2001, 21, Opinion::B},
+                EngineKind::kSkip, 2016, {39916, 0});
+  const avc::AvcParams s1000 = avc::n_state(1001);  // s ≈ 1000
+  expect_pinned(avc::AvcProtocol(s1000.m, s1000.d), {1001, 1, Opinion::A},
+                EngineKind::kSkip, 2017, {23213, 1});
+}
+
+TEST(DeterminismTest, CountEnginePinnedGoldens) {
+  expect_pinned(FourStateProtocol{}, {501, 1, Opinion::B}, EngineKind::kCount,
+                2018, {748972, 0});
+  const avc::AvcParams nstate = avc::n_state(1001);
+  expect_pinned(avc::AvcProtocol(nstate.m, nstate.d), {1001, 1, Opinion::A},
+                EngineKind::kCount, 2019, {23728, 1});
 }
 
 TEST(DeterminismTest, StreamsAreIndependentButStable) {

@@ -17,6 +17,7 @@
 #include "faults/fault_model.hpp"
 #include "faults/schedule_model.hpp"
 #include "harness/checkpoint.hpp"
+#include "temp_path.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/builtin_invariants.hpp"
 
@@ -65,7 +66,7 @@ void expect_points_identical(const std::vector<FaultSweepPoint>& a,
 
 class ResumeTest : public ::testing::Test {
  protected:
-  std::string manifest_ = ::testing::TempDir() + "/popbean_resume_manifest.txt";
+  std::string manifest_ = unique_temp_path("popbean_resume_manifest", ".txt");
   void TearDown() override { std::remove(manifest_.c_str()); }
 };
 

@@ -20,6 +20,7 @@
 #include "population/skip_engine.hpp"
 #include "protocols/four_state.hpp"
 #include "protocols/tabulated.hpp"
+#include "temp_path.hpp"
 #include "util/rng.hpp"
 
 namespace popbean {
@@ -113,7 +114,7 @@ TEST(SnapshotTest, PerturbedEngineRoundTripsWithSplitStreams) {
 }
 
 TEST(SnapshotTest, FileRoundTripIsAtomicAndValidated) {
-  const std::string path = ::testing::TempDir() + "/popbean_snapshot_test.pbsn";
+  const std::string path = unique_temp_path("popbean_snapshot_test", ".pbsn");
   const avc::AvcProtocol protocol(3, 1);
   CountEngine<avc::AvcProtocol> engine(protocol, avc_initial(protocol, 100));
   Xoshiro256ss rng(99);
@@ -221,7 +222,7 @@ TEST(SnapshotTest, UnknownIdentityIsAcceptedOnRestore) {
 
 TEST(SnapshotTest, KindMismatchIsRefused) {
   // A CountEngine snapshot must not restore into a SkipEngine.
-  const std::string path = ::testing::TempDir() + "/popbean_kind_test.pbsn";
+  const std::string path = unique_temp_path("popbean_kind_test", ".pbsn");
   const avc::AvcProtocol protocol(3, 1);
   CountEngine<avc::AvcProtocol> engine(protocol, avc_initial(protocol, 100));
   Xoshiro256ss rng(5);

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.hpp"
+
 namespace popbean {
 namespace {
 
@@ -83,7 +85,7 @@ TEST(BinaryIoTest, Fnv1a64MatchesReferenceVectors) {
 }
 
 TEST(BinaryIoTest, FileHelpersRoundTripAndCleanUpStaging) {
-  const std::string path = ::testing::TempDir() + "/popbean_binary_io_test.bin";
+  const std::string path = unique_temp_path("popbean_binary_io_test", ".bin");
   const std::string payload = std::string("\x00\x01\xff binary", 9);
   write_file_atomic(path, payload);
   EXPECT_EQ(read_file_bytes(path), payload);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.hpp"
+
 namespace popbean {
 namespace {
 
@@ -18,7 +20,7 @@ std::string read_file(const std::string& path) {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/popbean_csv_test.csv";
+  std::string path_ = unique_temp_path("popbean_csv_test", ".csv");
 
   void TearDown() override { std::remove(path_.c_str()); }
 };
