@@ -5,8 +5,10 @@
 #
 #   1. Bit-identical decision payloads: the same request file served once
 #      over stdin and once over a TCP socket (k=1, no remotes) must
-#      produce identical responses field-for-field once the wall-clock
-#      fields (queue_ms/run_ms) and the per-process trace ids are masked.
+#      produce the same multiset of responses field-for-field once the
+#      wall-clock fields (queue_ms/run_ms) and the per-process trace ids
+#      are masked. The file holds two blank lines and one duplicated id,
+#      so both front ends must answer every line and agree on byte offsets.
 #
 #   2. A two-process fleet — a front popbean-serve whose single local
 #      shard is deliberately starved (1 thread, queue capacity 2) plus a
@@ -77,12 +79,17 @@ echo "=== leg 1: stdin vs TCP bit-identical decision payloads (k=1) ==="
 python3 - "$WORKDIR" <<'EOF'
 import json, sys
 workdir = sys.argv[1]
+def request(i):
+    return json.dumps({
+        "v": 2, "id": f"req-{i}", "n": 200, "eps": 0.1,
+        "seed": 9000 + i, "replicates": 2,
+        "deadline_ms": 10000}) + "\n"
 with open(f"{workdir}/requests.ndjson", "w") as f:
     for i in range(40):
-        f.write(json.dumps({
-            "v": 2, "id": f"req-{i}", "n": 200, "eps": 0.1,
-            "seed": 9000 + i, "replicates": 2,
-            "deadline_ms": 10000}) + "\n")
+        f.write(request(i))
+        if i == 19:
+            f.write("\n\n")        # two blank lines: two invalid responses
+    f.write(request(7))           # duplicate id: one invalid response
 EOF
 "$SERVE_BIN" --threads=2 \
   < "$WORKDIR/requests.ndjson" > "$WORKDIR/stdin_responses.ndjson"
@@ -110,7 +117,7 @@ while True:
     received += chunk
 sock.close()
 lines = [l for l in received.decode().splitlines() if l]
-assert len(lines) == 40, f"expected 40 TCP responses, got {len(lines)}"
+assert len(lines) == 43, f"expected 43 TCP responses, got {len(lines)}"
 EOF
 
 kill -TERM "$LEG1_PID"
@@ -125,23 +132,22 @@ python3 - "$WORKDIR" <<'EOF'
 import json, sys
 workdir = sys.argv[1]
 def decisions(path):
-    out = {}
+    out = []
     for line in open(path):
         response = json.loads(line)
         # Mask wall-clock and per-process identity; everything else — the
         # decision payload — must match bit-for-bit.
         for field in ("queue_ms", "run_ms", "trace_id"):
             response.pop(field, None)
-        out[response["id"]] = response
-    return out
+        out.append(json.dumps(response, sort_keys=True))
+    return sorted(out)
 stdin_leg = decisions(f"{workdir}/stdin_responses.ndjson")
 tcp_leg = decisions(f"{workdir}/tcp_responses.ndjson")
-assert stdin_leg.keys() == tcp_leg.keys(), "response id sets differ"
-for job_id in sorted(stdin_leg):
-    assert stdin_leg[job_id] == tcp_leg[job_id], (
-        f"{job_id} diverged:\n  stdin: {stdin_leg[job_id]}\n"
-        f"  tcp:   {tcp_leg[job_id]}")
-print(f"OK: {len(stdin_leg)} decision payloads identical across front ends")
+assert len(stdin_leg) == 43, f"expected 43 stdin responses, got {len(stdin_leg)}"
+assert stdin_leg == tcp_leg, (
+    f"responses diverged:\n  stdin only: {set(stdin_leg) - set(tcp_leg)}\n"
+    f"  tcp only:   {set(tcp_leg) - set(stdin_leg)}")
+print(f"OK: {len(stdin_leg)} responses identical across front ends")
 EOF
 
 echo "=== leg 2: 2-process fleet, 10% chaos, SIGKILLed + revived remote ==="

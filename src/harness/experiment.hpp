@@ -25,7 +25,7 @@ namespace popbean {
 enum class EngineKind {
   kAgent,  // explicit agent array, O(1)/interaction
   kCount,  // Fenwick-sampled counts, O(log s)/interaction
-  kSkip,   // jump-chain (null-interaction skipping), O(s)/productive step
+  kSkip,   // jump-chain (null-interaction skipping), O(√s + L)/productive step
   kAuto,   // kSkip when the state space is small enough, else kCount
 };
 

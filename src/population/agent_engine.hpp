@@ -14,6 +14,7 @@
 #include "graph/interaction_graph.hpp"
 #include "obs/probe.hpp"
 #include "population/configuration.hpp"
+#include "population/engine_core.hpp"
 #include "population/protocol.hpp"
 #include "util/binary_io.hpp"
 #include "util/check.hpp"
@@ -25,7 +26,7 @@ namespace popbean {
 // type, e.g. the rate-weighted WeightedInteractionGraph of [DV12]'s
 // general-rates model.
 template <ProtocolLike P, GraphLike G = InteractionGraph>
-class AgentEngine {
+class AgentEngine : public EngineCore<P> {
  public:
   // Complete-graph engine; agents are created per `counts` (state order).
   AgentEngine(P protocol, const Counts& counts)
@@ -38,15 +39,11 @@ class AgentEngine {
   // nodes in state order; call shuffle_placement() for a random assignment
   // (placement matters on non-complete graphs).
   AgentEngine(P protocol, const Counts& counts, G graph)
-      : protocol_(std::move(protocol)), graph_(std::move(graph)) {
-    POPBEAN_CHECK(counts.size() == protocol_.num_states());
-    const std::uint64_t n = population_size(counts);
-    POPBEAN_CHECK(n >= 2);
-    POPBEAN_CHECK(graph_.num_nodes() == n);
-    agents_.reserve(n);
+      : EngineCore<P>(std::move(protocol), counts), graph_(std::move(graph)) {
+    POPBEAN_CHECK(graph_.num_nodes() == num_agents_);
+    agents_.reserve(num_agents_);
     for (State q = 0; q < counts.size(); ++q) {
-      for (std::uint64_t k = 0; k < counts[q]; ++k) agents_.push_back(q);
-      out_count_[index(protocol_.output(q))] += counts[q];
+      agents_.insert(agents_.end(), counts[q], q);
     }
   }
 
@@ -57,13 +54,7 @@ class AgentEngine {
     }
   }
 
-  const P& protocol() const noexcept { return protocol_; }
   const G& graph() const noexcept { return graph_; }
-  std::uint64_t num_agents() const noexcept { return agents_.size(); }
-  std::uint64_t steps() const noexcept { return steps_; }
-  double parallel_time() const noexcept {
-    return static_cast<double>(steps_) / static_cast<double>(num_agents());
-  }
 
   State state_of(NodeId node) const {
     POPBEAN_CHECK(node < agents_.size());
@@ -76,23 +67,10 @@ class AgentEngine {
     return c;
   }
 
-  std::uint64_t output_agents(Output output) const noexcept {
-    return out_count_[index(output)];
-  }
-
   // Attaches an interaction probe (src/obs); pass nullptr to detach. The
   // probe must outlive the engine or be detached first. Recording compiles
   // out entirely when POPBEAN_OBS_ENABLED=0.
   void attach_probe(obs::EngineProbe* probe) noexcept { probe_ = probe; }
-
-  bool all_same_output() const noexcept {
-    return out_count_[0] == 0 || out_count_[1] == 0;
-  }
-
-  // The output held by the larger camp (the unanimous one when converged).
-  Output dominant_output() const noexcept {
-    return out_count_[1] >= out_count_[0] ? 1 : 0;
-  }
 
   // External-perturbation hook (src/faults/): moves one uniformly random
   // agent of state `from` to state `to`, outside the protocol's transition
@@ -110,7 +88,7 @@ class AgentEngine {
       if (q != from) continue;
       if (target == 0) {
         q = to;
-        move_output(from, to);
+        move(from, to);
         return;
       }
       --target;
@@ -135,17 +113,14 @@ class AgentEngine {
     POPBEAN_CHECK_MSG(n == agents_.size(),
                       "snapshot population size does not match this engine");
     std::vector<State> agents(agents_.size());
-    std::uint64_t out_count[2] = {0, 0};
     for (State& q : agents) {
       q = in.u32();
       POPBEAN_CHECK_MSG(q < protocol_.num_states(),
                         "snapshot agent state out of range");
-      ++out_count[index(protocol_.output(q))];
     }
     agents_ = std::move(agents);
     steps_ = steps;
-    out_count_[0] = out_count[0];
-    out_count_[1] = out_count[1];
+    this->recount(counts());
   }
 
   // Executes one interaction: draws a uniformly random directed edge and
@@ -157,8 +132,8 @@ class AgentEngine {
     const Transition t = protocol_.apply(a, b);
     const bool null = is_null(t, a, b);
     if (!null) {
-      move_output(a, t.initiator);
-      move_output(b, t.responder);
+      move(a, t.initiator);
+      move(b, t.responder);
       agents_[u] = t.initiator;
       agents_[v] = t.responder;
     }
@@ -178,25 +153,14 @@ class AgentEngine {
     return n;
   }
 
-  static constexpr std::size_t index(Output o) noexcept {
-    return o == 0 ? 0 : 1;
-  }
+  using EngineCore<P>::move;
+  using EngineCore<P>::num_agents_;
+  using EngineCore<P>::protocol_;
+  using EngineCore<P>::steps_;
 
-  void move_output(State from, State to) noexcept {
-    const Output before = protocol_.output(from);
-    const Output after = protocol_.output(to);
-    if (before != after) {
-      --out_count_[index(before)];
-      ++out_count_[index(after)];
-    }
-  }
-
-  P protocol_;
   G graph_;
   std::vector<State> agents_;
   obs::EngineProbe* probe_ = nullptr;
-  std::uint64_t steps_ = 0;
-  std::uint64_t out_count_[2] = {0, 0};
 };
 
 }  // namespace popbean

@@ -16,6 +16,7 @@
 
 #include "obs/probe.hpp"
 #include "population/configuration.hpp"
+#include "population/engine_core.hpp"
 #include "population/protocol.hpp"
 #include "util/binary_io.hpp"
 #include "util/check.hpp"
@@ -25,43 +26,19 @@
 namespace popbean {
 
 template <ProtocolLike P>
-class CountEngine {
+class CountEngine : public EngineCore<P> {
  public:
   CountEngine(P protocol, const Counts& counts)
-      : protocol_(std::move(protocol)), counts_(counts), tree_(counts) {
-    POPBEAN_CHECK(counts_.size() == protocol_.num_states());
-    num_agents_ = population_size(counts_);
-    POPBEAN_CHECK(num_agents_ >= 2);
-    for (State q = 0; q < counts_.size(); ++q) {
-      out_count_[index(protocol_.output(q))] += counts_[q];
-    }
-  }
-
-  const P& protocol() const noexcept { return protocol_; }
-  std::uint64_t num_agents() const noexcept { return num_agents_; }
-  std::uint64_t steps() const noexcept { return steps_; }
-  double parallel_time() const noexcept {
-    return static_cast<double>(steps_) / static_cast<double>(num_agents_);
-  }
+      : EngineCore<P>(std::move(protocol), counts),
+        counts_(counts),
+        tree_(counts) {}
 
   const Counts& counts() const noexcept { return counts_; }
-
-  std::uint64_t output_agents(Output output) const noexcept {
-    return out_count_[index(output)];
-  }
 
   // Attaches an interaction probe (src/obs); pass nullptr to detach. The
   // probe must outlive the engine or be detached first. Recording compiles
   // out entirely when POPBEAN_OBS_ENABLED=0.
   void attach_probe(obs::EngineProbe* probe) noexcept { probe_ = probe; }
-
-  bool all_same_output() const noexcept {
-    return out_count_[0] == 0 || out_count_[1] == 0;
-  }
-
-  Output dominant_output() const noexcept {
-    return out_count_[1] >= out_count_[0] ? 1 : 0;
-  }
 
   // External-perturbation hook (src/faults/): moves one agent of state
   // `from` to state `to`, outside the protocol's transition function. Agents
@@ -75,7 +52,7 @@ class CountEngine {
                       "force_move: no agent holds `from` state");
     adjust(from, -1);
     adjust(to, +1);
-    move_output(from, to);
+    move(from, to);
   }
 
   // --- snapshot hooks (src/recovery) ---------------------------------------
@@ -90,19 +67,9 @@ class CountEngine {
 
   void load_state(BinaryReader& in) {
     const std::uint64_t steps = in.u64();
-    Counts counts = in.vec_u64();
-    POPBEAN_CHECK_MSG(counts.size() == protocol_.num_states(),
-                      "snapshot state count does not match the protocol");
-    POPBEAN_CHECK_MSG(population_size(counts) == num_agents_,
-                      "snapshot population size does not match this engine");
-    counts_ = std::move(counts);
+    counts_ = this->load_counts(in);
     tree_ = FenwickTree(counts_);
     steps_ = steps;
-    out_count_[0] = 0;
-    out_count_[1] = 0;
-    for (State q = 0; q < counts_.size(); ++q) {
-      out_count_[index(protocol_.output(q))] += counts_[q];
-    }
   }
 
   // Executes one interaction on a uniformly random ordered pair of distinct
@@ -129,9 +96,10 @@ class CountEngine {
   }
 
  private:
-  static constexpr std::size_t index(Output o) noexcept {
-    return o == 0 ? 0 : 1;
-  }
+  using EngineCore<P>::move;
+  using EngineCore<P>::num_agents_;
+  using EngineCore<P>::protocol_;
+  using EngineCore<P>::steps_;
 
   void adjust(State q, std::int64_t delta) {
     counts_[q] = static_cast<std::uint64_t>(
@@ -144,31 +112,18 @@ class CountEngine {
     if (t.initiator != a) {
       adjust(a, -1);
       adjust(t.initiator, +1);
-      move_output(a, t.initiator);
+      move(a, t.initiator);
     }
     if (t.responder != b) {
       adjust(b, -1);
       adjust(t.responder, +1);
-      move_output(b, t.responder);
+      move(b, t.responder);
     }
   }
 
-  void move_output(State from, State to) noexcept {
-    const Output before = protocol_.output(from);
-    const Output after = protocol_.output(to);
-    if (before != after) {
-      --out_count_[index(before)];
-      ++out_count_[index(after)];
-    }
-  }
-
-  P protocol_;
   Counts counts_;
   FenwickTree tree_;
   obs::EngineProbe* probe_ = nullptr;
-  std::uint64_t num_agents_ = 0;
-  std::uint64_t steps_ = 0;
-  std::uint64_t out_count_[2] = {0, 0};
 };
 
 }  // namespace popbean

@@ -56,6 +56,7 @@
 
 #include "obs/probe.hpp"
 #include "population/configuration.hpp"
+#include "population/engine_core.hpp"
 #include "population/protocol.hpp"
 #include "util/binary_io.hpp"
 #include "util/check.hpp"
@@ -64,21 +65,18 @@
 namespace popbean {
 
 template <ProtocolLike P>
-class SkipEngine {
+class SkipEngine : public EngineCore<P> {
  public:
   // Largest supported state count; the δ table is s² entries.
   static constexpr std::size_t kMaxStates = 1024;
 
   SkipEngine(P protocol, const Counts& counts)
-      : protocol_(std::move(protocol)),
+      : EngineCore<P>(std::move(protocol), counts),
         num_states_(protocol_.num_states()),
         counts_(counts) {
-    POPBEAN_CHECK(counts_.size() == num_states_);
     POPBEAN_CHECK_MSG(num_states_ <= kMaxStates,
                       "SkipEngine tabulates s^2 transitions; use CountEngine "
                       "for protocols with many states");
-    num_agents_ = population_size(counts_);
-    POPBEAN_CHECK(num_agents_ >= 2);
 
     table_.resize(num_states_ * num_states_);
     reactive_.resize(num_states_ * num_states_);
@@ -117,25 +115,7 @@ class SkipEngine {
     rebuild();
   }
 
-  const P& protocol() const noexcept { return protocol_; }
-  std::uint64_t num_agents() const noexcept { return num_agents_; }
-  std::uint64_t steps() const noexcept { return steps_; }
-  double parallel_time() const noexcept {
-    return static_cast<double>(steps_) / static_cast<double>(num_agents_);
-  }
   const Counts& counts() const noexcept { return counts_; }
-
-  std::uint64_t output_agents(Output output) const noexcept {
-    return out_count_[index(output)];
-  }
-
-  bool all_same_output() const noexcept {
-    return out_count_[0] == 0 || out_count_[1] == 0;
-  }
-
-  Output dominant_output() const noexcept {
-    return out_count_[1] >= out_count_[0] ? 1 : 0;
-  }
 
   // Attaches an interaction probe (src/obs); pass nullptr to detach. The
   // probe must outlive the engine or be detached first. Skipped null runs
@@ -176,7 +156,7 @@ class SkipEngine {
                       "force_move: no agent holds `from` state");
     adjust(from, -1);
     adjust(to, +1);
-    move_output(from, to);
+    move(from, to);
     absorbing_ = false;
   }
 
@@ -195,12 +175,7 @@ class SkipEngine {
     const std::uint64_t steps = in.u64();
     const std::uint8_t absorbing = in.u8();
     POPBEAN_CHECK_MSG(absorbing <= 1, "snapshot absorbing flag corrupt");
-    Counts counts = in.vec_u64();
-    POPBEAN_CHECK_MSG(counts.size() == num_states_,
-                      "snapshot state count does not match the protocol");
-    POPBEAN_CHECK_MSG(population_size(counts) == num_agents_,
-                      "snapshot population size does not match this engine");
-    counts_ = std::move(counts);
+    counts_ = this->load_counts(in);
     steps_ = steps;
     absorbing_ = absorbing != 0;
     rebuild();
@@ -252,21 +227,22 @@ class SkipEngine {
     if (t.initiator != i) {
       adjust(i, -1);
       adjust(t.initiator, +1);
-      move_output(i, t.initiator);
+      move(i, t.initiator);
     }
     if (t.responder != j) {
       adjust(j, -1);
       adjust(t.responder, +1);
-      move_output(j, t.responder);
+      move(j, t.responder);
     }
     POPBEAN_OBS_HOOK(
         if (probe_ != nullptr) { probe_->record(kind_table_[cell(i, j)]); })
   }
 
  private:
-  static constexpr std::size_t index(Output o) noexcept {
-    return o == 0 ? 0 : 1;
-  }
+  using EngineCore<P>::move;
+  using EngineCore<P>::num_agents_;
+  using EngineCore<P>::protocol_;
+  using EngineCore<P>::steps_;
 
   std::size_t cell(State a, State b) const noexcept {
     return static_cast<std::size_t>(a) * num_states_ + b;
@@ -376,11 +352,6 @@ class SkipEngine {
       block_extra_[q >> block_shift_] +=
           static_cast<std::int64_t>(counts_[q]) * row_extra_[q];
     }
-    out_count_[0] = 0;
-    out_count_[1] = 0;
-    for (State q = 0; q < num_states_; ++q) {
-      out_count_[index(protocol_.output(q))] += counts_[q];
-    }
   }
 
   std::uint64_t summed_row_weights() const noexcept {
@@ -398,16 +369,6 @@ class SkipEngine {
     return total;
   }
 
-  void move_output(State from, State to) noexcept {
-    const Output before = protocol_.output(from);
-    const Output after = protocol_.output(to);
-    if (before != after) {
-      --out_count_[index(before)];
-      ++out_count_[index(after)];
-    }
-  }
-
-  P protocol_;
   std::size_t num_states_;
   Counts counts_;
   std::vector<Transition> table_;
@@ -458,9 +419,6 @@ class SkipEngine {
   std::uint64_t live_agents_ = 0;          // n, or n − 1 mid-adjustment
   std::uint64_t weight_ = 0;               // W
 
-  std::uint64_t num_agents_ = 0;
-  std::uint64_t steps_ = 0;
-  std::uint64_t out_count_[2] = {0, 0};
   bool absorbing_ = false;
 };
 

@@ -82,9 +82,6 @@ class ShardProxy {
 
 struct RouterConfig {
   std::size_t shards = 1;
-  // Walk sibling shards on owner rejection; false = strict ownership (the
-  // owner's rejection is final).
-  bool reject_to_sibling = true;
   // Per-shard service template. `metrics` must be null (each shard owns its
   // registry so per-shard health stays meaningful); `telemetry` may be
   // shared (the sink is line-granular under its own mutex).
@@ -179,7 +176,6 @@ class ShardRouter {
       spec.trace_id = obs::mint_trace_id();
     }
     const std::vector<std::size_t> order = rendezvous_order(spec.protocol);
-    std::string reason;
     for (std::size_t pos = 0; pos < order.size(); ++pos) {
       const std::size_t i = order[pos];
       const bool is_remote = i >= shards_.size();
@@ -194,8 +190,6 @@ class ShardRouter {
         }
         return true;
       }
-      if (pos == 0) reason = std::move(*rejected);
-      if (!config_.reject_to_sibling) break;
     }
     {
       std::lock_guard lock(stats_mutex_);
@@ -205,9 +199,7 @@ class ShardRouter {
     response.origin = spec.origin;
     response.id = std::move(spec.id);
     response.outcome = JobOutcome::kOverloaded;
-    response.error = config_.reject_to_sibling
-                         ? "all_shards_overloaded"
-                         : std::move(reason);
+    response.error = "all_shards_overloaded";
     // Each shard's try_submit recorded its own reject instant; the spec's
     // trace id (minted at decode) still joins this response to them.
     response.trace_id = spec.trace_id;

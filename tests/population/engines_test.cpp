@@ -8,6 +8,7 @@
 #include "protocols/four_state.hpp"
 #include "protocols/three_state.hpp"
 #include "protocols/voter.hpp"
+#include "util/binary_io.hpp"
 #include "util/rng.hpp"
 
 namespace popbean {
@@ -101,6 +102,27 @@ TYPED_TEST(EngineTypedTest, StepLimitReported) {
   Xoshiro256ss rng(12);
   const RunResult result = run_to_convergence(engine, rng, 3);
   EXPECT_EQ(result.status, RunStatus::kStepLimit);
+}
+
+// The output tally is not in the snapshot: load_state must re-derive it
+// from the restored configuration, not keep the fresh engine's.
+TYPED_TEST(EngineTypedTest, LoadStateRecountsTheOutputTally) {
+  FourStateProtocol protocol;
+  const Counts initial = majority_instance(protocol, 40, 22);
+  TypeParam engine(protocol, initial);
+  Xoshiro256ss rng(14);
+  for (int i = 0; i < 100'000 && engine.output_agents(1) == 22; ++i) {
+    engine.step(rng);
+  }
+  ASSERT_NE(engine.output_agents(1), 22u);
+  BinaryWriter out;
+  engine.save_state(out);
+  TypeParam restored(protocol, initial);
+  BinaryReader in(out.bytes());
+  restored.load_state(in);
+  EXPECT_EQ(restored.output_agents(1), engine.output_agents(1));
+  EXPECT_EQ(restored.output_agents(0), engine.output_agents(0));
+  EXPECT_EQ(restored.all_same_output(), engine.all_same_output());
 }
 
 TEST(AgentEngineTest, ShufflePreservesCounts) {

@@ -182,30 +182,6 @@ TEST(RouterTest, OwnerRejectionSpillsToTheSiblingSequence) {
   EXPECT_EQ(router.shard(owner).health().accepted, 2u);
 }
 
-TEST(RouterTest, StrictOwnershipDoesNotSpill) {
-  RouterConfig config = pluggable_config(2);
-  config.reject_to_sibling = false;
-  Collector collector;
-  ShardRouter router(config, [&](const JobResponse& r) { collector(r); });
-  const std::size_t owner = router.owner_of("four-state");
-  const std::size_t sibling = 1 - owner;
-  EXPECT_TRUE(router.submit(quick_job("plug-owner")));  // owner running
-  EXPECT_TRUE(router.submit(quick_job("fill-owner")));  // owner queued
-  // The sibling is idle, but strict ownership means the owner's rejection
-  // is final.
-  EXPECT_FALSE(router.submit(quick_job("stranded")));
-  const JobResponse rejected = collector.await("stranded");
-  EXPECT_EQ(rejected.outcome, JobOutcome::kOverloaded);
-  // Strict rejections carry the owner's own reason, not the fleet banner.
-  EXPECT_NE(rejected.error, "all_shards_overloaded");
-  EXPECT_FALSE(rejected.error.empty());
-  EXPECT_EQ(collector.await("plug-owner").outcome, JobOutcome::kDone);
-  EXPECT_EQ(collector.await("fill-owner").outcome, JobOutcome::kDone);
-  EXPECT_EQ(router.shard(sibling).health().accepted, 0u);
-  EXPECT_EQ(router.stats().redirected, 0u);
-  EXPECT_EQ(router.stats().rejected_all, 1u);
-}
-
 TEST(RouterTest, DrainAllPreservesExactlyOneResponse) {
   Collector collector;
   ShardRouter router(base_config(3, 2),

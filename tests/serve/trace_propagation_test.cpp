@@ -190,8 +190,7 @@ TEST(TracePropagationTest, RejectionsGetInstantsNotTrees) {
   obs::TraceCollector trace;
   Collector collector;
   RouterConfig config;
-  config.shards = 2;
-  config.reject_to_sibling = false;  // owner's rejection is final
+  config.shards = 1;
   config.service.threads = 1;
   config.service.admission.capacity = 1;
   config.service.backoff = BackoffPolicy{1ms, 4ms};

@@ -13,10 +13,10 @@
 // one run (stdin) or one connection (TCP) are a strict-codec error (the
 // exactly-one-response contract is per id).
 //
-// With --shards=N the front end routes through a ShardRouter: N in-process
-// service shards own slices of the protocol-family space via rendezvous
-// hashing, and a job rejected by its owner spills to siblings in the
-// family's deterministic fallback order. --shard-remote=HOST:PORT[,...]
+// The front end routes through a ShardRouter: --shards=N in-process
+// service shards (default 1) own slices of the protocol-family space via
+// rendezvous hashing, and a job rejected by its owner spills to siblings in
+// the family's deterministic fallback order. --shard-remote=HOST:PORT[,...]
 // stretches that walk across processes (DESIGN.md §14): each remote
 // popbean-serve occupies a rendezvous slot after the local shards, jobs
 // spill to it over TCP with bounded retries under decorrelated-jitter
@@ -72,7 +72,8 @@
 //                          no injection; faults are fail/slow/corrupt)
 //   --chaos-seed=S         chaos stream seed (default 7)
 //   --corrupt-rate=R       per-interaction rate of kCorrupt faults (1e-3)
-//   --metrics-out=PATH     metrics snapshot JSON after the drain
+//   --metrics-out=PATH     metrics snapshot JSON after the drain:
+//                          {"shards":[...]}, one registry per local shard
 //   --health-out=PATH      final HealthSnapshot JSON after the drain
 //   --telemetry-out=PATH   JSONL: one event per terminal response, plus
 //                          vote_divergence events from the service
@@ -300,10 +301,12 @@ int main(int argc, char** argv) {
 
     // One mutex serializes every response line (service sink, remote-shard
     // deliveries, and the invalid/overloaded lines the front ends write).
-    // The ledger hears each response BEFORE the transport does, so a
-    // response is never lost between the service and a dying socket.
+    // Every terminal response is ledgered, written to stdout when no TCP
+    // connection carries it (origin 0), and recorded as telemetry. The
+    // ledger hears each response BEFORE the transport does, so a response
+    // is never lost between the service and a dying socket.
     std::mutex out_mutex;
-    const auto emit = [&](const JobResponse& response) {
+    const auto record = [&](const JobResponse& response) {
       {
         std::lock_guard lock(out_mutex);
         if (responses_out.has_value()) {
@@ -315,9 +318,6 @@ int main(int argc, char** argv) {
           std::cout.flush();
         }
       }
-      if (response.origin != 0 && server.has_value()) {
-        server->deliver(response);
-      }
       if (telemetry.has_value()) {
         telemetry->record("response", [&response](JsonWriter& json) {
           json.kv("id", response.id);
@@ -328,77 +328,45 @@ int main(int argc, char** argv) {
         });
       }
     };
+    const auto emit = [&](const JobResponse& response) {
+      record(response);
+      if (response.origin != 0 && server.has_value()) {
+        server->deliver(response);
+      }
+    };
 
     std::signal(SIGINT, handle_drain_signal);
     std::signal(SIGTERM, handle_drain_signal);
     std::signal(SIGUSR1, handle_dump_signal);
 
-    // shards == 1 with no remotes keeps the plain single-service path
-    // (bit-identical to the pre-sharding tool, including the backoff
-    // seed); --shards=N or --shard-remote wraps the same config in a
-    // ShardRouter whose slot space covers locals then remotes.
+    // The router's slot space covers the local shards, then the remotes.
     std::vector<std::shared_ptr<net::RemoteShard>> remote_shards;
-    std::optional<JobService> service;
-    std::optional<ShardRouter> router;
-    if (shards == 1 && remote_targets.empty()) {
-      service.emplace(config, emit);
-    } else {
-      RouterConfig router_config;
-      router_config.shards = shards;
-      router_config.service = config;
-      for (std::size_t i = 0; i < remote_targets.size(); ++i) {
-        net::RemoteShardConfig remote;
-        remote.target = remote_targets[i];
-        remote.slot = shards + i;
-        remote.breaker = config.breaker;
-        remote.seed = mix_seed(config.seed, 0xbead + i);
-        remote_shards.push_back(
-            std::make_shared<net::RemoteShard>(remote, emit));
-        router_config.remotes.push_back(remote_shards.back());
-      }
-      router.emplace(std::move(router_config), emit);
+    RouterConfig router_config;
+    router_config.shards = shards;
+    router_config.service = config;
+    for (std::size_t i = 0; i < remote_targets.size(); ++i) {
+      net::RemoteShardConfig remote;
+      remote.target = remote_targets[i];
+      remote.slot = shards + i;
+      remote.breaker = config.breaker;
+      remote.seed = mix_seed(config.seed, 0xbead + i);
+      remote_shards.push_back(std::make_shared<net::RemoteShard>(remote, emit));
+      router_config.remotes.push_back(remote_shards.back());
     }
-
-    const auto submit = [&](JobSpec&& spec) {
-      if (service.has_value()) {
-        service->submit(std::move(spec));
-      } else {
-        router->submit(std::move(spec));
-      }
-    };
-    const auto note_invalid = [&] {
-      if (service.has_value()) {
-        service->note_invalid();
-      } else {
-        router->note_invalid();
-      }
-    };
+    ShardRouter router(std::move(router_config), emit);
 
     if (listen.has_value()) {
       server.emplace(
-          tcp_config, [&submit](JobSpec&& spec) { submit(std::move(spec)); },
+          tcp_config,
+          [&router](JobSpec&& spec) { router.submit(std::move(spec)); },
           [&](const JobResponse& response) {
             // Server-synthesized responses (invalid frames, torn/oversized
             // rejections, slow-client sheds): the server already wrote
             // them to the socket; ledger and count them here.
-            if (response.outcome == JobOutcome::kInvalid) note_invalid();
-            {
-              std::lock_guard lock(out_mutex);
-              if (responses_out.has_value()) {
-                *responses_out << job_response_line(response);
-                responses_out->flush();
-              }
+            if (response.outcome == JobOutcome::kInvalid) {
+              router.note_invalid();
             }
-            if (telemetry.has_value()) {
-              telemetry->record("response", [&response](JsonWriter& json) {
-                json.kv("id", response.id);
-                json.kv("outcome", to_string(response.outcome));
-                json.kv("attempts",
-                        static_cast<std::uint64_t>(response.attempts));
-                json.kv("voted", response.voted);
-                json.kv("quarantined", response.quarantined);
-              });
-            }
+            record(response);
           });
       std::string error;
       if (!server->start(&error)) {
@@ -469,21 +437,7 @@ int main(int argc, char** argv) {
     const auto dump_prom = [&] {
       if (prom_path.empty()) return;
       atomic_write(prom_path, [&](std::ostream& out) {
-        if (router.has_value()) {
-          router->write_prometheus(out, add_net_counters);
-          return;
-        }
-        obs::PromExposition prom;
-        const obs::MetricsRegistry::Snapshot snap =
-            service->metrics().snapshot();
-        prom.add(snap, {{"shard", "0"}});
-        prom.add(snap, {{"shard", "fleet"}});
-        if (trace.has_value()) {
-          prom.add_counter("obs.trace_events_dropped", trace->dropped_count(),
-                           {{"shard", "fleet"}});
-        }
-        add_net_counters(prom);
-        prom.write(out);
+        router.write_prometheus(out, add_net_counters);
       });
     };
     const auto dump_trace = [&] {
@@ -505,19 +459,15 @@ int main(int argc, char** argv) {
       std::ofstream out(metrics_path);
       if (!out) throw std::runtime_error("cannot open " + metrics_path);
       JsonWriter json(out);
-      if (service.has_value()) {
-        service->metrics().write_json(json);
-      } else {
-        // Sharded runs keep per-shard registries; emit them side by side.
-        json.begin_object();
-        json.key("shards");
-        json.begin_array();
-        for (std::size_t i = 0; i < router->shard_count(); ++i) {
-          router->shard(i).metrics().write_json(json);
-        }
-        json.end_array();
-        json.end_object();
+      // Each shard keeps its own registry; emit them side by side.
+      json.begin_object();
+      json.key("shards");
+      json.begin_array();
+      for (std::size_t i = 0; i < router.shard_count(); ++i) {
+        router.shard(i).metrics().write_json(json);
       }
+      json.end_array();
+      json.end_object();
       out << "\n";
     };
     const auto write_health = [&] {
@@ -525,11 +475,7 @@ int main(int argc, char** argv) {
       std::ofstream out(health_path);
       if (!out) throw std::runtime_error("cannot open " + health_path);
       JsonWriter json(out);
-      if (service.has_value()) {
-        write_health_json(json, service->health());
-      } else {
-        write_health_json(json, router->health());
-      }
+      write_health_json(json, router.health());
       out << "\n";
     };
     // The final-snapshot contract (DESIGN.md §14): every exposition file
@@ -587,10 +533,9 @@ int main(int argc, char** argv) {
         std::string line;
         while (!g_interrupted.load(std::memory_order_relaxed) &&
                std::getline(in, line)) {
-          if (line.empty()) continue;
           ParsedRequest request = reader.next(line);
           if (const auto* error = std::get_if<RequestError>(&request)) {
-            note_invalid();
+            router.note_invalid();
             JobResponse response;
             response.id = error->id;
             response.outcome = JobOutcome::kInvalid;
@@ -598,7 +543,7 @@ int main(int argc, char** argv) {
             emit(response);
             continue;
           }
-          submit(std::move(std::get<JobSpec>(request)));
+          router.submit(std::move(std::get<JobSpec>(request)));
         }
       }
 
@@ -608,11 +553,7 @@ int main(int argc, char** argv) {
       // exactly-one-response contract (the event loop keeps delivering
       // while that happens), then the server flushes the last bytes out.
       if (server.has_value()) server->begin_drain();
-      if (service.has_value()) {
-        service->drain(config.drain_deadline);
-      } else {
-        router->drain(config.drain_deadline);
-      }
+      router.drain(config.drain_deadline);
       if (server.has_value()) {
         server->drain(config.drain_deadline);
         server->stop();
