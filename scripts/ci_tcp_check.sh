@@ -181,8 +181,8 @@ REMOTE_PORT="$(await_port "$WORKDIR/remote1.port" "$REMOTE1_PID")"
   --breaker-failures=3 --breaker-cooldown-ms=300 \
   --read-deadline-ms=1000 \
   --prom-out="$WORKDIR/front.prom" --prom-interval-ms=60000 \
-  --metrics-out="$WORKDIR/front.metrics.json" \
-  --health-out="$WORKDIR/front.health.json" \
+  --trace-out="$WORKDIR/front.trace.json" --trace-cap=65536 \
+  --slow-out="$WORKDIR/front.slow.json" \
   --responses-out="$WORKDIR/front.responses.ndjson" \
   2>"$WORKDIR/front.log" &
 FRONT_PID=$!
@@ -231,7 +231,7 @@ if [[ "$REMOTE2_STATUS" -ne 3 ]]; then
   exit 1
 fi
 
-for artifact in front.prom front.metrics.json front.health.json \
+for artifact in front.prom front.trace.json front.slow.json \
                 front.responses.ndjson remote2.prom; do
   if [[ ! -s "$WORKDIR/$artifact" ]]; then
     echo "final flush did not write $artifact" >&2

@@ -43,7 +43,6 @@ echo "=== voted stress run (3 replicas, 10% corrupt chaos) ==="
   --quarantine-divergences=2 --quarantine-cooldown-ms=100 \
   --capture-dir="$WORKDIR/captures" \
   --telemetry-out="$WORKDIR/telemetry.jsonl" \
-  --health-out="$WORKDIR/health.json" \
   --expect-vote-recovery \
   --bench-out=BENCH_vote_chaos.json
 echo "stress run passed its own gates"

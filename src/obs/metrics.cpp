@@ -2,7 +2,6 @@
 
 #include "obs/probe.hpp"
 #include "util/check.hpp"
-#include "util/json.hpp"
 
 namespace popbean::obs {
 
@@ -160,27 +159,6 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
     snap.histograms.emplace_back(hist_names_[i], std::move(merged));
   }
   return snap;
-}
-
-void MetricsRegistry::write_json(JsonWriter& json) const {
-  const Snapshot snap = snapshot();
-  json.begin_object();
-  json.key("counters");
-  json.begin_object();
-  for (const auto& [name, value] : snap.counters) json.kv(name, value);
-  json.end_object();
-  json.key("gauges");
-  json.begin_object();
-  for (const auto& [name, value] : snap.gauges) json.kv(name, value);
-  json.end_object();
-  json.key("histograms");
-  json.begin_object();
-  for (const auto& [name, hist] : snap.histograms) {
-    json.key(name);
-    hist.write_json(json);
-  }
-  json.end_object();
-  json.end_object();
 }
 
 #if POPBEAN_OBS_ENABLED

@@ -40,10 +40,6 @@
 #include "obs/obs.hpp"
 #include "util/histogram.hpp"
 
-namespace popbean {
-class JsonWriter;
-}
-
 namespace popbean::obs {
 
 // Typed metric handles; cheap to copy, valid for the registry's lifetime.
@@ -92,10 +88,6 @@ class MetricsRegistry {
   // Aggregated view in registration order (deterministic for a fixed code
   // path). Safe to call while other threads record.
   Snapshot snapshot() const;
-
-  // Streams the snapshot as {"counters": {...}, "gauges": {...},
-  // "histograms": {name: Histogram::write_json…}}.
-  void write_json(JsonWriter& json) const;
 
  private:
   struct Shard {

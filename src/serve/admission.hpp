@@ -30,6 +30,7 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -48,6 +49,16 @@ inline const char* to_string(ShedPolicy policy) {
     case ShedPolicy::kClientQuota: return "client-quota";
   }
   return "reject-newest";
+}
+
+// Inverse of to_string(ShedPolicy), for the --shed flag of the serve tools.
+inline ShedPolicy parse_shed_policy(const std::string& text) {
+  for (const ShedPolicy policy :
+       {ShedPolicy::kRejectNewest, ShedPolicy::kDeadlineAware,
+        ShedPolicy::kClientQuota}) {
+    if (text == to_string(policy)) return policy;
+  }
+  throw std::runtime_error("flag --shed: unknown policy \"" + text + "\"");
 }
 
 struct AdmissionConfig {

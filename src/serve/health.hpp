@@ -3,9 +3,9 @@
 //
 // The service continuously maintains "serve.*" counters and gauges; a
 // health probe is a pure read of a registry snapshot — no service lock, no
-// coupling to JobService internals, and the same numbers land in
-// --metrics-out files, so a dashboard and a health check can never
-// disagree about what the service believes.
+// coupling to JobService internals, and the same series are what the
+// Prometheus exposition (obs/prom.hpp, --prom-out) carries, so a dashboard
+// and a health check can never disagree about what the service believes.
 //
 //   live        the service object exists and is publishing gauges
 //   ready       accepting new jobs (not draining)
@@ -19,7 +19,6 @@
 
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
-#include "util/json.hpp"
 
 namespace popbean::serve {
 
@@ -145,36 +144,6 @@ inline HealthSnapshot derive_health(const obs::MetricsRegistry& registry) {
   health.quarantined_families = static_cast<std::size_t>(
       detail::gauge_value(snap, "serve.vote.quarantined_families"));
   return health;
-}
-
-inline void write_health_json(JsonWriter& json, const HealthSnapshot& health) {
-  json.begin_object();
-  json.kv("live", health.live);
-  json.kv("ready", health.ready);
-  json.kv("overloaded", health.overloaded);
-  json.kv("queue_depth", health.queue_depth);
-  json.kv("queue_capacity", health.queue_capacity);
-  json.kv("inflight", health.inflight);
-  json.kv("degradation_level",
-          static_cast<std::int64_t>(health.degradation_level));
-  json.kv("breakers_open", health.breakers_open);
-  json.kv("accepted", health.accepted);
-  json.kv("rejected", health.rejected);
-  json.kv("invalid", health.invalid);
-  json.kv("completed", health.completed);
-  json.kv("truncated", health.truncated);
-  json.kv("failed", health.failed);
-  json.kv("timeouts", health.timeouts);
-  json.kv("retries", health.retries);
-  json.kv("shed", health.shed);
-  json.kv("voted", health.voted);
-  json.kv("divergences", health.divergences);
-  json.kv("no_majority", health.no_majority);
-  json.kv("quarantine_entered", health.quarantine_entered);
-  json.kv("quarantine_recovered", health.quarantine_recovered);
-  json.kv("quarantined_jobs", health.quarantined_jobs);
-  json.kv("quarantined_families", health.quarantined_families);
-  json.end_object();
 }
 
 }  // namespace popbean::serve

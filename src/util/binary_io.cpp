@@ -67,13 +67,24 @@ std::string read_file_bytes(const std::string& path) {
 }
 
 void write_file_atomic(const std::string& path, std::string_view bytes) {
+  write_file_atomic(path, [bytes](std::ostream& out) {
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  });
+}
+
+void write_file_atomic(const std::string& path,
+                       const std::function<void(std::ostream&)>& body) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw std::runtime_error("cannot open " + tmp + " for writing");
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    body(out);
     out.flush();
-    if (!out) throw std::runtime_error("write error on " + tmp);
+    if (!out) {
+      out.close();
+      std::remove(tmp.c_str());
+      throw std::runtime_error("write error on " + tmp);
+    }
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());

@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -95,7 +97,14 @@ std::string read_file_bytes(const std::string& path);
 
 // Writes `bytes` to `path` atomically: stage into `path + ".tmp"`, flush,
 // then rename over the destination. A crash mid-write leaves at worst a
-// stale .tmp file, never a truncated `path`.
+// stale .tmp file, never a truncated `path`. A failed write or rename
+// (ENOSPC, EFBIG, ...) throws std::runtime_error, removes the .tmp and
+// leaves the previous `path` in place.
 void write_file_atomic(const std::string& path, std::string_view bytes);
+
+// As above, but `body` streams the content into the staged file, so a large
+// document (a trace, an exposition) is never rendered into one string.
+void write_file_atomic(const std::string& path,
+                       const std::function<void(std::ostream&)>& body);
 
 }  // namespace popbean

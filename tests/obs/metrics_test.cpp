@@ -1,10 +1,9 @@
 // MetricsRegistry: register-or-lookup semantics, exact multi-threaded
-// totals after a happens-before edge, live-snapshot monotonicity, and JSON
-// output. The multi-writer cases double as the TSan exercise for the
-// sharded hot path (ctest -L obs runs under POPBEAN_SANITIZE=thread in CI).
+// totals after a happens-before edge, and live-snapshot monotonicity. The
+// multi-writer cases double as the TSan exercise for the sharded hot path
+// (ctest -L obs runs under POPBEAN_SANITIZE=thread in CI).
 #include <atomic>
 #include <cstdint>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -14,7 +13,6 @@
 
 #include "obs/metrics.hpp"
 #include "util/histogram.hpp"
-#include "util/json.hpp"
 
 namespace popbean::obs {
 namespace {
@@ -120,25 +118,6 @@ TEST(MetricsRegistryTest, LiveSnapshotIsAMonotoneLowerBound) {
   }
   stop.store(true, std::memory_order_relaxed);
   writer.join();
-}
-
-TEST(MetricsRegistryTest, WriteJsonEmitsEveryMetricAndCompletes) {
-  MetricsRegistry registry;
-  registry.add(registry.counter("a.count"), 3);
-  registry.set(registry.gauge("b.gauge"), 1.5);
-  registry.observe(registry.histogram("c.hist", Histogram::linear(0, 1, 2)),
-                   0.25);
-  std::ostringstream os;
-  JsonWriter json(os);
-  registry.write_json(json);
-  EXPECT_TRUE(json.complete());
-  const std::string text = os.str();
-  EXPECT_NE(text.find("\"a.count\""), std::string::npos);
-  EXPECT_NE(text.find("\"b.gauge\""), std::string::npos);
-  EXPECT_NE(text.find("\"c.hist\""), std::string::npos);
-  EXPECT_NE(text.find("\"counters\""), std::string::npos);
-  EXPECT_NE(text.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(text.find("\"histograms\""), std::string::npos);
 }
 
 TEST(MetricsRegistryTest, RegistrationPastCapacityThrows) {

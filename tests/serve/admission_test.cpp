@@ -1,10 +1,11 @@
 // Bounded priority admission queue (serve/admission.hpp): pop order,
-// capacity bounds, and the three shed policies.
+// capacity bounds, the three shed policies, and their flag names.
 #include "serve/admission.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <stdexcept>
 #include <string>
 
 namespace popbean::serve {
@@ -132,6 +133,15 @@ TEST(AdmissionTest, OccupancyTracksSizeOverCapacity) {
   EXPECT_EQ(queue.capacity(), 4u);
   ASSERT_TRUE(queue.pop().has_value());
   EXPECT_DOUBLE_EQ(queue.occupancy(), 0.25);
+}
+
+TEST(AdmissionTest, ShedPolicyNamesRoundTripAndUnknownNamesThrow) {
+  for (const ShedPolicy policy :
+       {ShedPolicy::kRejectNewest, ShedPolicy::kDeadlineAware,
+        ShedPolicy::kClientQuota}) {
+    EXPECT_EQ(parse_shed_policy(to_string(policy)), policy);
+  }
+  EXPECT_THROW(parse_shed_policy("drop-oldest"), std::runtime_error);
 }
 
 TEST(AdmissionTest, ZeroCapacityIsALogicError) {

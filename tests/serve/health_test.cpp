@@ -1,14 +1,11 @@
 // Health derivation (serve/health.hpp): a pure read of a metrics registry
-// snapshot, plus the JSON emission round trip.
+// snapshot. The exposition side (the same series in --prom-out) is pinned by
+// RouterTest.PromExpositionCarriesEveryShardsHealthView.
 #include "serve/health.hpp"
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "obs/metrics.hpp"
-#include "util/json.hpp"
-#include "util/json_parse.hpp"
 
 namespace popbean::serve {
 namespace {
@@ -75,31 +72,7 @@ TEST(HealthTest, AnOpenBreakerAloneMarksTheServiceOverloaded) {
   EXPECT_EQ(health.breakers_open, 1u);
 }
 
-TEST(HealthTest, WriteHealthJsonRoundTripsThroughTheParser) {
-  HealthSnapshot health;
-  health.live = true;
-  health.ready = false;
-  health.overloaded = true;
-  health.queue_depth = 9;
-  health.queue_capacity = 16;
-  health.degradation_level = 3;
-  health.accepted = 100;
-  health.failed = 4;
-  std::ostringstream os;
-  JsonWriter json(os);
-  write_health_json(json, health);
-  const JsonValue v = JsonValue::parse(os.str());
-  EXPECT_TRUE(v.find("live")->as_bool());
-  EXPECT_FALSE(v.find("ready")->as_bool());
-  EXPECT_TRUE(v.find("overloaded")->as_bool());
-  EXPECT_EQ(v.find("queue_depth")->as_u64(), 9u);
-  EXPECT_EQ(v.find("queue_capacity")->as_u64(), 16u);
-  EXPECT_EQ(v.find("degradation_level")->as_i64(), 3);
-  EXPECT_EQ(v.find("accepted")->as_u64(), 100u);
-  EXPECT_EQ(v.find("failed")->as_u64(), 4u);
-}
-
-TEST(HealthTest, VoteCountersDeriveAndRoundTrip) {
+TEST(HealthTest, VoteCountersDerive) {
   obs::MetricsRegistry registry;
   registry.set(registry.gauge("serve.live"), 1.0);
   registry.add(registry.counter("serve.vote.voted"), 40);
@@ -118,18 +91,6 @@ TEST(HealthTest, VoteCountersDeriveAndRoundTrip) {
   EXPECT_EQ(health.quarantine_recovered, 1u);
   EXPECT_EQ(health.quarantined_jobs, 7u);
   EXPECT_EQ(health.quarantined_families, 1u);
-
-  std::ostringstream os;
-  JsonWriter json(os);
-  write_health_json(json, health);
-  const JsonValue v = JsonValue::parse(os.str());
-  EXPECT_EQ(v.find("voted")->as_u64(), 40u);
-  EXPECT_EQ(v.find("divergences")->as_u64(), 5u);
-  EXPECT_EQ(v.find("no_majority")->as_u64(), 1u);
-  EXPECT_EQ(v.find("quarantine_entered")->as_u64(), 2u);
-  EXPECT_EQ(v.find("quarantine_recovered")->as_u64(), 1u);
-  EXPECT_EQ(v.find("quarantined_jobs")->as_u64(), 7u);
-  EXPECT_EQ(v.find("quarantined_families")->as_u64(), 1u);
 }
 
 // --- Overload hysteresis (the flapping fix) --------------------------------

@@ -8,14 +8,18 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/prom.hpp"
 
 namespace popbean::serve {
 namespace {
@@ -233,6 +237,92 @@ TEST(RouterTest, FleetHealthAggregatesAcrossShards) {
   EXPECT_EQ(accepted, fleet.accepted);
   // Shard 0 keeps the fleet's invalid-line total.
   EXPECT_EQ(router.shard(0).health().invalid, 1u);
+}
+
+// The value of `name{shard="<shard>"}`, which must appear exactly once.
+double shard_series(const obs::PromDocument& doc, const std::string& name,
+                    const std::string& shard) {
+  const obs::PromSample* found = nullptr;
+  for (const obs::PromSample& sample : doc.samples) {
+    const auto label = sample.labels.find("shard");
+    if (sample.name != name || label == sample.labels.end() ||
+        label->second != shard) {
+      continue;
+    }
+    EXPECT_EQ(found, nullptr) << "duplicate series " << name;
+    found = &sample;
+  }
+  EXPECT_NE(found, nullptr) << "no series " << name << "{shard=\"" << shard
+                            << "\"}";
+  return found != nullptr ? found->value : -1.0;
+}
+
+// The exposition is the one snapshot format: every counter and gauge that
+// derive_health reads for a shard is in it as that shard's series.
+TEST(RouterTest, PromExpositionCarriesEveryShardsHealthView) {
+  Collector collector;
+  ShardRouter router(base_config(2),
+                     [&](const JobResponse& r) { collector(r); });
+  for (int j = 0; j < 3; ++j) {
+    EXPECT_TRUE(router.submit(quick_job("fs-" + std::to_string(j))));
+    EXPECT_TRUE(
+        router.submit(quick_job("ts-" + std::to_string(j), "three-state")));
+  }
+  router.note_invalid();
+  ASSERT_TRUE(router.drain(20'000ms));
+  std::ostringstream os;
+  router.write_prometheus(os);
+  const obs::PromDocument doc = obs::parse_prometheus(os.str());
+
+  const std::vector<HealthSnapshot> health = router.shard_health();
+  ASSERT_EQ(health.size(), 2u);
+  double accepted = 0.0;
+  for (std::size_t i = 0; i < health.size(); ++i) {
+    const HealthSnapshot& h = health[i];
+    const std::string shard = std::to_string(i);
+    SCOPED_TRACE("shard " + shard);
+    const auto series = [&](const std::string& name) {
+      return shard_series(doc, "popbean_serve_" + name, shard);
+    };
+    EXPECT_EQ(series("draining"), 1.0);
+    EXPECT_FALSE(h.ready);
+    EXPECT_EQ(series("live") > 0.5, h.live);
+    EXPECT_EQ(series("overloaded") > 0.5 || series("breakers_open") > 0.0,
+              h.overloaded);
+    const std::vector<std::pair<std::string, double>> gauges = {
+        {"queue_depth", static_cast<double>(h.queue_depth)},
+        {"queue_capacity", static_cast<double>(h.queue_capacity)},
+        {"inflight", static_cast<double>(h.inflight)},
+        {"degradation_level", static_cast<double>(h.degradation_level)},
+        {"breakers_open", static_cast<double>(h.breakers_open)},
+        {"vote_quarantined_families",
+         static_cast<double>(h.quarantined_families)}};
+    for (const auto& [name, value] : gauges) {
+      EXPECT_EQ(series(name), value) << name;
+    }
+    const std::vector<std::pair<std::string, std::uint64_t>> counters = {
+        {"accepted", h.accepted},
+        {"rejected", h.rejected},
+        {"invalid", h.invalid},
+        {"completed", h.completed},
+        {"truncated", h.truncated},
+        {"failed", h.failed},
+        {"timeouts", h.timeouts},
+        {"retries", h.retries},
+        {"shed", h.shed},
+        {"vote_voted", h.voted},
+        {"vote_divergences", h.divergences},
+        {"vote_no_majority", h.no_majority},
+        {"vote_quarantine_entered", h.quarantine_entered},
+        {"vote_quarantine_recovered", h.quarantine_recovered},
+        {"vote_quarantined_jobs", h.quarantined_jobs}};
+    for (const auto& [name, value] : counters) {
+      EXPECT_EQ(series(name + "_total"), static_cast<double>(value)) << name;
+    }
+    accepted += series("accepted_total");
+  }
+  EXPECT_EQ(accepted, 6.0);
+  EXPECT_EQ(health[0].invalid, 1u);
 }
 
 TEST(RouterTest, ConfigIsValidatedAtConstruction) {

@@ -33,9 +33,10 @@
 //   --csv=PATH         also write the per-rate series as CSV
 //
 // Observability (DESIGN.md §8):
-//   --metrics-out=PATH   write a metrics snapshot (engine transition-kind
+//   --prom-out=PATH      write the metrics registry (engine transition-kind
 //                        counters, fault tallies, thread-pool task latencies,
-//                        per-cell wall times) as JSON after the sweep
+//                        per-cell wall times) as a Prometheus text
+//                        exposition after the sweep
 //   --trace-out=PATH     write a Chrome trace_event timeline of the sweep's
 //                        cells — load it in chrome://tracing or Perfetto
 //   --telemetry-out=PATH stream one JSONL event per finished cell as the
@@ -73,6 +74,7 @@
 #include "harness/report.hpp"
 #include "obs/metrics.hpp"
 #include "obs/pool_obs.hpp"
+#include "obs/prom.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "protocols/four_state.hpp"
@@ -114,7 +116,7 @@ struct Settings {
   std::string csv_path;
   FaultSweepRecovery recovery_cfg;
   std::string record_prefix;
-  std::string metrics_path;
+  std::string prom_path;
   std::string trace_path;
   std::string telemetry_path;
 };
@@ -245,7 +247,7 @@ void run_sweep(const P& protocol, const std::string& label,
   ThreadPool pool(settings.threads);
   FaultSweepRecovery recovery_options = settings.recovery_cfg;
   recovery_options.run.cancel = &g_interrupted;
-  if (!settings.metrics_path.empty()) {
+  if (!settings.prom_path.empty()) {
     metrics.emplace();
     obs::attach_thread_pool(pool, *metrics);
     recovery_options.run.obs.metrics = &*metrics;
@@ -273,12 +275,12 @@ void run_sweep(const P& protocol, const std::string& label,
   // Observability outputs are written even for an interrupted sweep — a
   // partial timeline is exactly what a post-mortem wants.
   if (metrics) {
-    std::ofstream out(settings.metrics_path);
-    if (!out) throw std::runtime_error("cannot open " + settings.metrics_path);
-    JsonWriter json(out);
-    metrics->write_json(json);
-    out << "\n";
-    std::cout << "metrics written to " << settings.metrics_path << "\n";
+    std::ofstream out(settings.prom_path);
+    if (!out) throw std::runtime_error("cannot open " + settings.prom_path);
+    obs::PromExposition prom;
+    prom.add(metrics->snapshot(), {});
+    prom.write(out);
+    std::cout << "metrics written to " << settings.prom_path << "\n";
   }
   if (trace) {
     std::ofstream out(settings.trace_path);
@@ -396,7 +398,7 @@ int main(int argc, char** argv) {
                       "schedule", "zipf-exponent", "budget", "n", "eps",
                       "replicates", "seed", "max-time", "threads", "json",
                       "csv", "checkpoint", "checkpoint-every", "resume",
-                      "timeout", "retries", "record", "metrics-out",
+                      "timeout", "retries", "record", "prom-out",
                       "trace-out", "telemetry-out"});
     Settings settings;
     settings.protocol = args.get_string("protocol", settings.protocol);
@@ -434,7 +436,7 @@ int main(int argc, char** argv) {
     settings.recovery_cfg.run.max_retries =
         static_cast<std::size_t>(args.get_int("retries", 1));
     settings.record_prefix = args.get_string("record", "");
-    settings.metrics_path = args.get_string("metrics-out", "");
+    settings.prom_path = args.get_string("prom-out", "");
     settings.trace_path = args.get_string("trace-out", "");
     settings.telemetry_path = args.get_string("telemetry-out", "");
 

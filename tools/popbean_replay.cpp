@@ -24,8 +24,9 @@
 //   --out=PREFIX               minimized capture output prefix
 //                              (default: <log path>.min)
 //   --events                   dump the event log before replaying
-//   --metrics-out=PATH         write a metrics snapshot (event/fault counts,
-//                              shrink probe tallies) as JSON on exit
+//   --prom-out=PATH            write the metrics registry (event/fault
+//                              counts, shrink probe tallies) as a
+//                              Prometheus text exposition on exit
 //   --trace-out=PATH           write a Chrome trace_event timeline of the
 //                              replay/shrink phases (chrome://tracing,
 //                              Perfetto)
@@ -42,13 +43,13 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/prom.hpp"
 #include "obs/trace.hpp"
 #include "protocols/tabulated_io.hpp"
 #include "recovery/event_log.hpp"
 #include "recovery/replay.hpp"
 #include "recovery/shrink.hpp"
 #include "util/cli.hpp"
-#include "util/json.hpp"
 #include "verify/linear_invariant.hpp"
 
 namespace {
@@ -116,25 +117,25 @@ int main(int argc, char** argv) {
     }
     const CliArgs args(static_cast<int>(flag_argv.size()), flag_argv.data());
     args.check_known({"header", "log", "shrink", "out", "events",
-                      "metrics-out", "trace-out"});
+                      "prom-out", "trace-out"});
 
-    const std::string metrics_path = args.get_string("metrics-out", "");
+    const std::string prom_path = args.get_string("prom-out", "");
     const std::string trace_path = args.get_string("trace-out", "");
     std::optional<obs::MetricsRegistry> metrics;
     std::optional<obs::TraceCollector> trace;
-    if (!metrics_path.empty()) metrics.emplace();
+    if (!prom_path.empty()) metrics.emplace();
     if (!trace_path.empty()) trace.emplace();
     obs::TraceCollector* const tracer = trace ? &*trace : nullptr;
     // Called before every exit path so partial work (e.g. a diverged
     // replay) still leaves its telemetry behind.
     const auto write_obs = [&] {
       if (metrics) {
-        std::ofstream out(metrics_path);
-        if (!out) throw std::runtime_error("cannot open " + metrics_path);
-        JsonWriter json(out);
-        metrics->write_json(json);
-        out << "\n";
-        std::cout << "metrics written to " << metrics_path << "\n";
+        std::ofstream out(prom_path);
+        if (!out) throw std::runtime_error("cannot open " + prom_path);
+        obs::PromExposition prom;
+        prom.add(metrics->snapshot(), {});
+        prom.write(out);
+        std::cout << "metrics written to " << prom_path << "\n";
       }
       if (trace) {
         std::ofstream out(trace_path);

@@ -27,9 +27,11 @@
 // interrupted (SIGINT/SIGTERM stop admission, drain in-flight work under
 // the drain deadline, and flush whatever remains as failed("shutdown") —
 // the same convention as popbean-faults). Final observability files
-// (--prom-out, --metrics-out, ...) are written on EVERY exit path, each
+// (--prom-out, --trace-out, --slow-out) are written on EVERY exit path, each
 // individually guarded, so a wedged worker or one bad sink can never cost
-// the others their last snapshot.
+// the others their last snapshot. Each is staged to PATH.tmp and renamed
+// into place only after a complete write, so a reader never sees a
+// truncated snapshot.
 //
 // Flags:
 //   --jobs=PATH            read requests from PATH instead of stdin
@@ -72,19 +74,17 @@
 //                          no injection; faults are fail/slow/corrupt)
 //   --chaos-seed=S         chaos stream seed (default 7)
 //   --corrupt-rate=R       per-interaction rate of kCorrupt faults (1e-3)
-//   --metrics-out=PATH     metrics snapshot JSON after the drain:
-//                          {"shards":[...]}, one registry per local shard
-//   --health-out=PATH      final HealthSnapshot JSON after the drain
-//   --telemetry-out=PATH   JSONL: one event per terminal response, plus
-//                          vote_divergence events from the service
+//   --telemetry-out=PATH   JSONL vote_divergence events from the service
 //   --trace-out=PATH       Chrome trace JSON of per-job async span trees
 //                          (DESIGN.md §13), written after the drain and on
 //                          SIGUSR1
 //   --trace-cap=K          trace ring-buffer capacity in events (default
 //                          1000000); older events drop once exceeded
-//   --prom-out=PATH        Prometheus text-format exposition, rewritten
-//                          every --prom-interval-ms and on SIGUSR1; in TCP
-//                          mode enriched with net.* connection counters
+//   --prom-out=PATH        Prometheus text-format exposition of every
+//                          shard registry (health is a view over its
+//                          serve.* series), rewritten every
+//                          --prom-interval-ms, on SIGUSR1 and after the
+//                          drain; in TCP mode enriched with net.* counters
 //   --prom-interval-ms=MS  prom rewrite period (default 1000)
 //   --slow-out=PATH        top-k slow-request log JSON, written after the
 //                          drain and on SIGUSR1
@@ -95,7 +95,6 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -115,6 +114,7 @@
 #include "serve/codec.hpp"
 #include "serve/router.hpp"
 #include "serve/service.hpp"
+#include "util/binary_io.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/net_io.hpp"
@@ -136,13 +136,6 @@ extern "C" void handle_drain_signal(int) {
 // IO — none of it is async-signal-safe).
 extern "C" void handle_dump_signal(int) {
   g_dump_requested.store(true, std::memory_order_relaxed);
-}
-
-ShedPolicy parse_shed_policy(const std::string& text) {
-  if (text == "reject-newest") return ShedPolicy::kRejectNewest;
-  if (text == "deadline-aware") return ShedPolicy::kDeadlineAware;
-  if (text == "client-quota") return ShedPolicy::kClientQuota;
-  throw std::runtime_error("flag --shed: unknown policy \"" + text + "\"");
 }
 
 // Deterministic per-(job, attempt) chaos draw: the same request file with
@@ -172,9 +165,9 @@ int main(int argc, char** argv) {
                       "breaker-cooldown-ms", "replicas",
                       "quarantine-divergences", "quarantine-cooldown-ms",
                       "capture-dir", "capture-limit", "seed", "chaos",
-                      "chaos-seed", "corrupt-rate", "metrics-out",
-                      "health-out", "telemetry-out", "trace-out", "trace-cap",
-                      "prom-out", "prom-interval-ms", "slow-out"});
+                      "chaos-seed", "corrupt-rate", "telemetry-out",
+                      "trace-out", "trace-cap", "prom-out",
+                      "prom-interval-ms", "slow-out"});
 
     ServiceConfig config;
     config.threads = static_cast<std::size_t>(args.get_uint64("threads", 0));
@@ -234,8 +227,6 @@ int main(int argc, char** argv) {
     if (listen.has_value() && !jobs_path.empty()) {
       throw std::runtime_error("--listen and --jobs are mutually exclusive");
     }
-    const std::string metrics_path = args.get_string("metrics-out", "");
-    const std::string health_path = args.get_string("health-out", "");
     const std::string telemetry_path = args.get_string("telemetry-out", "");
     const std::string trace_path = args.get_string("trace-out", "");
     const std::size_t trace_cap = static_cast<std::size_t>(args.get_uint64(
@@ -301,31 +292,20 @@ int main(int argc, char** argv) {
 
     // One mutex serializes every response line (service sink, remote-shard
     // deliveries, and the invalid/overloaded lines the front ends write).
-    // Every terminal response is ledgered, written to stdout when no TCP
-    // connection carries it (origin 0), and recorded as telemetry. The
-    // ledger hears each response BEFORE the transport does, so a response
-    // is never lost between the service and a dying socket.
+    // Every terminal response is ledgered and written to stdout when no
+    // TCP connection carries it (origin 0). The ledger hears each response
+    // BEFORE the transport does, so a response is never lost between the
+    // service and a dying socket.
     std::mutex out_mutex;
     const auto record = [&](const JobResponse& response) {
-      {
-        std::lock_guard lock(out_mutex);
-        if (responses_out.has_value()) {
-          *responses_out << job_response_line(response);
-          responses_out->flush();
-        }
-        if (response.origin == 0) {
-          write_job_response(std::cout, response);
-          std::cout.flush();
-        }
+      std::lock_guard lock(out_mutex);
+      if (responses_out.has_value()) {
+        *responses_out << job_response_line(response);
+        responses_out->flush();
       }
-      if (telemetry.has_value()) {
-        telemetry->record("response", [&response](JsonWriter& json) {
-          json.kv("id", response.id);
-          json.kv("outcome", to_string(response.outcome));
-          json.kv("attempts", static_cast<std::uint64_t>(response.attempts));
-          json.kv("voted", response.voted);
-          json.kv("quarantined", response.quarantined);
-        });
+      if (response.origin == 0) {
+        write_job_response(std::cout, response);
+        std::cout.flush();
       }
     };
     const auto emit = [&](const JobResponse& response) {
@@ -381,21 +361,6 @@ int main(int argc, char** argv) {
                 << server->port() << "\n";
     }
 
-    // Observability dumps: each file is written to PATH.tmp then renamed so
-    // a tailing popbean-top never reads a half-written snapshot. All are
-    // callable while the service runs (snapshot()/write_chrome_trace copy
-    // under their own locks).
-    const auto atomic_write = [](const std::string& path, auto&& body) {
-      const std::string tmp = path + ".tmp";
-      {
-        std::ofstream out(tmp);
-        if (!out) throw std::runtime_error("cannot open " + tmp);
-        body(out);
-      }
-      if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        throw std::runtime_error("cannot rename " + tmp);
-      }
-    };
     // TCP front-end counters join the router's exposition under
     // shard="net", so one scrape covers sockets and services alike.
     const auto add_net_counters = [&](obs::PromExposition& prom) {
@@ -434,67 +399,43 @@ int main(int argc, char** argv) {
                          remote_shards[i]->breaker_closes(), remote_labels);
       }
     };
+    // Observability dumps: each file is staged and renamed into place
+    // (write_file_atomic) so a tailing popbean-top never reads a
+    // half-written snapshot. All are callable while the service runs
+    // (snapshot()/write_chrome_trace copy under their own locks).
     const auto dump_prom = [&] {
       if (prom_path.empty()) return;
-      atomic_write(prom_path, [&](std::ostream& out) {
+      write_file_atomic(prom_path, [&](std::ostream& out) {
         router.write_prometheus(out, add_net_counters);
       });
     };
     const auto dump_trace = [&] {
       if (trace_path.empty()) return;
-      atomic_write(trace_path, [&](std::ostream& out) {
+      write_file_atomic(trace_path, [&](std::ostream& out) {
         trace->write_chrome_trace(out, "popbean-serve");
       });
     };
     const auto dump_slow = [&] {
       if (slow_path.empty()) return;
-      atomic_write(slow_path, [&](std::ostream& out) {
+      write_file_atomic(slow_path, [&](std::ostream& out) {
         JsonWriter json(out);
         slow_log->write_json(json);
         out << "\n";
       });
     };
-    const auto write_metrics = [&] {
-      if (metrics_path.empty()) return;
-      std::ofstream out(metrics_path);
-      if (!out) throw std::runtime_error("cannot open " + metrics_path);
-      JsonWriter json(out);
-      // Each shard keeps its own registry; emit them side by side.
-      json.begin_object();
-      json.key("shards");
-      json.begin_array();
-      for (std::size_t i = 0; i < router.shard_count(); ++i) {
-        router.shard(i).metrics().write_json(json);
+    // Each write is guarded on its own: one unwritable sink reports on
+    // stderr and never costs the other files their snapshot.
+    const auto guarded = [](const char* what, const auto& body) {
+      try {
+        body();
+      } catch (const std::exception& e) {
+        std::cerr << "popbean-serve: " << what << ": " << e.what() << "\n";
       }
-      json.end_array();
-      json.end_object();
-      out << "\n";
     };
-    const auto write_health = [&] {
-      if (health_path.empty()) return;
-      std::ofstream out(health_path);
-      if (!out) throw std::runtime_error("cannot open " + health_path);
-      JsonWriter json(out);
-      write_health_json(json, router.health());
-      out << "\n";
-    };
-    // The final-snapshot contract (DESIGN.md §14): every exposition file
-    // is written on every exit path, and each write is guarded on its own
-    // — a drain that had to abandon a wedged worker, or one unwritable
-    // sink, must never cost the other files their final flush.
-    const auto final_flush = [&] {
-      const auto guarded = [](const char* what, const auto& body) {
-        try {
-          body();
-        } catch (const std::exception& e) {
-          std::cerr << "popbean-serve: " << what << ": " << e.what() << "\n";
-        }
-      };
+    const auto dump_all = [&] {
       guarded("prom-out", dump_prom);
       guarded("trace-out", dump_trace);
       guarded("slow-out", dump_slow);
-      guarded("metrics-out", write_metrics);
-      guarded("health-out", write_health);
     };
 
     // Periodic prom writer + SIGUSR1 servicing, off the request loop.
@@ -506,13 +447,11 @@ int main(int argc, char** argv) {
         while (!obs_stop.load(std::memory_order_relaxed)) {
           std::this_thread::sleep_for(std::chrono::milliseconds(20));
           if (g_dump_requested.exchange(false, std::memory_order_relaxed)) {
-            dump_prom();
-            dump_trace();
-            dump_slow();
+            dump_all();
           }
           if (!prom_path.empty() &&
               std::chrono::steady_clock::now() >= next_prom) {
-            dump_prom();
+            guarded("prom-out", dump_prom);
             next_prom += prom_interval;
           }
         }
@@ -563,7 +502,7 @@ int main(int argc, char** argv) {
         obs_stop.store(true, std::memory_order_relaxed);
         obs_writer.join();
       }
-      final_flush();
+      dump_all();
       throw;
     }
 
@@ -571,8 +510,9 @@ int main(int argc, char** argv) {
       obs_stop.store(true, std::memory_order_relaxed);
       obs_writer.join();
     }
-    // Final snapshots reflect the fully-drained service.
-    final_flush();
+    // The final-snapshot contract (DESIGN.md §14): every exposition file is
+    // written on every exit path, reflecting the fully-drained service.
+    dump_all();
     return interrupted ? 3 : 0;
   } catch (const std::exception& e) {
     std::cerr << "popbean-serve: " << e.what() << "\n";
