@@ -8,9 +8,10 @@
 // cost of computing transitions on the fly instead of one table lookup.
 //
 // Each case also runs with an obs::EngineProbe attached and reports the
-// relative slowdown (`probe_overhead_pct`) — the measured cost of the
-// DESIGN.md §8 instrumentation hooks. With -DPOPBEAN_OBS=OFF the hooks
-// compile away and the overhead column should read ~0.
+// relative slowdown (`probe_overhead_pct`, best probed repeat against best
+// plain repeat) — the measured cost of the DESIGN.md §8 instrumentation
+// hooks. With -DPOPBEAN_OBS=OFF the hooks compile away and the overhead
+// column should read ~0.
 //
 // Results go to stdout (table) and to a machine-readable JSON report
 // (default BENCH_engines.json) consumed by the CI perf-smoke job. The job
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "core/avc.hpp"
+#include "core/avc_params.hpp"
 #include "harness/report.hpp"
 #include "obs/probe.hpp"
 #include "population/agent_engine.hpp"
@@ -130,7 +132,11 @@ double time_skip_batch(const P& protocol, const Counts& counts,
 }
 
 // Runs one case: `repeats` timed batches probe-detached (the reported
-// rate), then the same batches probe-attached (the overhead estimate).
+// rate), then the same batches probe-attached (the overhead estimate). The
+// overhead compares the best repeat of each side, the rule
+// scripts/ci_bench_regress.sh uses for rates: a descheduled repeat inflates
+// a sum (and could make the probed side look faster) but barely moves the
+// best.
 template <typename TimeBatch>
 CaseResult run_case(std::string name, std::string engine_name,
                     std::string protocol_name, std::uint64_t units,
@@ -159,13 +165,15 @@ CaseResult run_case(std::string name, std::string engine_name,
       static_cast<double>(interactions) / plain_seconds;
 
   obs::EngineProbe probe;
-  double probed_seconds = 0.0;
+  double best_probed = 0.0;
   for (std::size_t r = 0; r < config.repeats; ++r) {
     std::uint64_t ignored = 0;
-    probed_seconds += time_one(r, &probe, ignored);
+    const double elapsed = time_one(r, &probe, ignored);
+    if (r == 0 || elapsed < best_probed) best_probed = elapsed;
   }
-  result.probe_overhead_pct =
-      (probed_seconds - plain_seconds) / plain_seconds * 100.0;
+  const double best_plain = static_cast<double>(units) /
+                            result.units_per_sec.max;
+  result.probe_overhead_pct = (best_probed - best_plain) / best_plain * 100.0;
 #if POPBEAN_OBS_ENABLED
   result.probe_interactions = probe.interactions;
 #endif
@@ -301,6 +309,8 @@ int run(int argc, char** argv) {
   const FourStateProtocol four_state;
   const avc::AvcProtocol avc63(63, 1);
   const avc::AvcProtocol avc4095(4095, 1);
+  const avc::AvcParams nstate_params = avc::n_state(config.n);
+  const avc::AvcProtocol avc_nstate(nstate_params.m, nstate_params.d);
   const zoo::Runtime<zoo::DoublingProtocol> zoo_doubling{
       zoo::DoublingProtocol(8)};
   const zoo::MaterializedView zoo_doubling_tab = zoo::materialize(zoo_doubling);
@@ -316,6 +326,8 @@ int run(int argc, char** argv) {
                                                  "avc63", avc63, config));
   results.push_back(run_engine_case<CountEngine>("count/avc4095", "count",
                                                  "avc4095", avc4095, config));
+  results.push_back(run_engine_case<CountEngine>(
+      "count/avc_nstate", "count", "avc_nstate", avc_nstate, config));
   results.push_back(run_engine_case<CountEngine>(
       "count/zoo_doubling", "count", "zoo:doubling", zoo_doubling, config));
   results.push_back(run_engine_case<CountEngine>("count/zoo_doubling_tab",

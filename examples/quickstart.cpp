@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
             << " (eps = " << instance.epsilon() << ")\n";
 
   // 3. Run to convergence. kAuto picks the null-skipping engine for small
-  //    state spaces and the Fenwick count engine for large ones.
+  //    state spaces and the count-tree engine for large ones.
   const RunResult result = run_majority_once(
       protocol, instance, EngineKind::kAuto, seed, /*stream=*/0,
       /*max_interactions=*/1'000'000'000'000ULL);

@@ -24,7 +24,7 @@ namespace popbean {
 
 enum class EngineKind {
   kAgent,  // explicit agent array, O(1)/interaction
-  kCount,  // Fenwick-sampled counts, O(log s)/interaction
+  kCount,  // counts in a K-ary count tree, O(log_K s)/interaction
   kSkip,   // jump-chain (null-interaction skipping), O(√s + L)/productive step
   kAuto,   // kSkip when the state space is small enough, else kCount
 };

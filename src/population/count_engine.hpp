@@ -3,11 +3,12 @@
 // On a clique, agents are exchangeable, so the configuration is fully
 // described by per-state counts. One interaction samples the initiator state
 // with probability c_i / n and the responder state from the remaining n − 1
-// agents, via two prefix searches in a Fenwick tree — O(log s) per
-// interaction, with tree updates only for agents that change state. This is
-// the engine of choice when the state count s is large (the paper's Figure 4
-// uses s up to 16340 and the "n-state AVC" of Figure 3 uses s ≈ n, where an
-// s × s reaction table would not fit in memory).
+// agents, via one paired search (two interleaved prefix descents) in a K-ary
+// count tree (util/count_tree.hpp) — O(log_K s) per interaction, with tree
+// updates only for agents that change state. This is the engine of choice
+// when the state count s is large (the paper's Figure 4 uses s up to 16340
+// and the "n-state AVC" of Figure 3 uses s ≈ n, where an s × s reaction
+// table would not fit in memory).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +21,7 @@
 #include "population/protocol.hpp"
 #include "util/binary_io.hpp"
 #include "util/check.hpp"
-#include "util/fenwick.hpp"
+#include "util/count_tree.hpp"
 #include "util/rng.hpp"
 
 namespace popbean {
@@ -29,11 +30,9 @@ template <ProtocolLike P>
 class CountEngine : public EngineCore<P> {
  public:
   CountEngine(P protocol, const Counts& counts)
-      : EngineCore<P>(std::move(protocol), counts),
-        counts_(counts),
-        tree_(counts) {}
+      : EngineCore<P>(std::move(protocol), counts), tree_(counts) {}
 
-  const Counts& counts() const noexcept { return counts_; }
+  const Counts& counts() const noexcept { return tree_.weights(); }
 
   // Attaches an interaction probe (src/obs); pass nullptr to detach. The
   // probe must outlive the engine or be detached first. Recording compiles
@@ -48,27 +47,26 @@ class CountEngine : public EngineCore<P> {
     POPBEAN_CHECK(from < protocol_.num_states());
     POPBEAN_CHECK(to < protocol_.num_states());
     if (from == to) return;
-    POPBEAN_CHECK_MSG(counts_[from] > 0,
+    POPBEAN_CHECK_MSG(counts()[from] > 0,
                       "force_move: no agent holds `from` state");
-    adjust(from, -1);
-    adjust(to, +1);
+    tree_.add(from, -1);
+    tree_.add(to, +1);
     move(from, to);
   }
 
   // --- snapshot hooks (src/recovery) ---------------------------------------
-  // Serializes counts and step count; the Fenwick tree and output tallies
-  // are derived state, rebuilt (and cross-checked) on load.
+  // Serializes counts and step count; the tree's upper levels and the output
+  // tallies are derived state, rebuilt (and cross-checked) on load.
   static constexpr std::string_view kSnapshotKind = "engine/count";
 
   void save_state(BinaryWriter& out) const {
     out.u64(steps_);
-    out.vec_u64(counts_);
+    out.vec_u64(counts());
   }
 
   void load_state(BinaryReader& in) {
     const std::uint64_t steps = in.u64();
-    counts_ = this->load_counts(in);
-    tree_ = FenwickTree(counts_);
+    tree_ = CountTree(this->load_counts(in));
     steps_ = steps;
   }
 
@@ -77,11 +75,13 @@ class CountEngine : public EngineCore<P> {
   void step(Xoshiro256ss& rng) {
     // Agents are laid out in state order; the initiator is the agent at
     // position u and the responder the agent at position v of the other
-    // n − 1, i.e. at v, or v + 1 once past u.
+    // n − 1, i.e. at v, or v + 1 once past u. Both positions are drawn
+    // before either search, so the two descents run side by side.
     const std::uint64_t u = rng.below(num_agents_);
-    const auto a = static_cast<State>(tree_.find_by_prefix(u));
     const std::uint64_t v = rng.below(num_agents_ - 1);
-    const auto b = static_cast<State>(tree_.find_by_prefix(v < u ? v : v + 1));
+    const auto [i, j] = tree_.find_pair(u, v < u ? v : v + 1);
+    const auto a = static_cast<State>(i);
+    const auto b = static_cast<State>(j);
 
     const Transition t = protocol_.apply(a, b);
     const bool null = is_null(t, a, b);
@@ -101,28 +101,21 @@ class CountEngine : public EngineCore<P> {
   using EngineCore<P>::protocol_;
   using EngineCore<P>::steps_;
 
-  void adjust(State q, std::int64_t delta) {
-    counts_[q] = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(counts_[q]) + delta);
-    tree_.add(q, delta);
-  }
-
   // Moves only the participants whose state changes.
   void apply_reaction(State a, State b, const Transition& t) {
     if (t.initiator != a) {
-      adjust(a, -1);
-      adjust(t.initiator, +1);
+      tree_.add(a, -1);
+      tree_.add(t.initiator, +1);
       move(a, t.initiator);
     }
     if (t.responder != b) {
-      adjust(b, -1);
-      adjust(t.responder, +1);
+      tree_.add(b, -1);
+      tree_.add(t.responder, +1);
       move(b, t.responder);
     }
   }
 
-  Counts counts_;
-  FenwickTree tree_;
+  CountTree tree_;
   obs::EngineProbe* probe_ = nullptr;
 };
 

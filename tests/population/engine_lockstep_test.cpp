@@ -2,7 +2,8 @@
 //
 // The reference classes below are the straightforward samplers: the skip
 // engine's O(s) row scan over per-row responder sums with a fresh O(s)
-// weight sum, and the count engine's exclude-draw-restore responder draw.
+// weight sum, and the count engine's exclude-draw-restore responder draw
+// by linear prefix scans. Neither uses the engines' search structures.
 // The engines' incremental samplers promise to draw the same RNG values and
 // map them to the same (initiator, responder) pair, so from one seed the
 // two must visit identical configurations, step for step.
@@ -23,7 +24,6 @@
 #include "protocols/three_state.hpp"
 #include "protocols/voter.hpp"
 #include "util/binary_io.hpp"
-#include "util/fenwick.hpp"
 #include "util/rng.hpp"
 
 namespace popbean {
@@ -125,13 +125,14 @@ class ReferenceSkip {
   bool absorbing_ = false;
 };
 
-// Count sampler that excludes the initiator from the Fenwick tree for the
-// responder draw and restores it afterwards.
+// Count sampler that finds each partner by a linear prefix scan over its
+// counts, and excludes the initiator from the counts for the responder draw
+// and restores it afterwards.
 template <ProtocolLike P>
 class ReferenceCount {
  public:
   ReferenceCount(const P& protocol, const Counts& counts)
-      : protocol_(protocol), counts_(counts), tree_(counts) {
+      : protocol_(protocol), counts_(counts) {
     n_ = population_size(counts_);
   }
 
@@ -144,9 +145,9 @@ class ReferenceCount {
   }
 
   void step(Xoshiro256ss& rng) {
-    const auto a = static_cast<State>(tree_.find_by_prefix(rng.below(n_)));
+    const State a = find(rng.below(n_));
     adjust(a, -1);
-    const auto b = static_cast<State>(tree_.find_by_prefix(rng.below(n_ - 1)));
+    const State b = find(rng.below(n_ - 1));
     adjust(a, +1);
     const Transition t = protocol_.apply(a, b);
     adjust(a, -1);
@@ -157,15 +158,21 @@ class ReferenceCount {
   }
 
  private:
+  // The state of the agent at position target when agents are laid out in
+  // state order: the smallest q with c_0 + … + c_q > target.
+  State find(std::uint64_t target) const {
+    State q = 0;
+    for (; target >= counts_[q]; ++q) target -= counts_[q];
+    return q;
+  }
+
   void adjust(State q, std::int64_t delta) {
     counts_[q] = static_cast<std::uint64_t>(
         static_cast<std::int64_t>(counts_[q]) + delta);
-    tree_.add(q, delta);
   }
 
   P protocol_;
   Counts counts_;
-  FenwickTree tree_;
   std::uint64_t n_ = 0;
   std::uint64_t steps_ = 0;
 };
@@ -259,6 +266,17 @@ TEST(EngineLockstepTest, NStateAvcShortRun) {
   ASSERT_GE(protocol.num_states(), 990u);
   lockstep_both(protocol, majority_instance_with_margin(protocol, 1001, 1),
                 3000, 13);
+}
+
+// The regime of fig3 and Fig. 4's large cells: s ≈ 10^4 states, so the
+// count tree has five levels and most states are empty.
+TEST(EngineLockstepTest, CountEngineNStateAvcAtTenThousandStates) {
+  const auto protocol = avc_with_states(avc::n_state(10001));
+  ASSERT_GE(protocol.num_states(), 10000u);
+  run_lockstep<CountEngine, ReferenceCount>(
+      protocol, majority_instance_with_margin(protocol, 10001, 1), 20000, 23,
+      {{5000, Event::kReload},
+       {9000, Event::kForceMove, protocol.initial_state(Opinion::A), 5000}});
 }
 
 TEST(EngineLockstepTest, SmallProtocols) {
