@@ -7,13 +7,14 @@
 #      over stdin and once over a TCP socket (k=1, no remotes) must
 #      produce the same multiset of responses field-for-field once the
 #      wall-clock fields (queue_ms/run_ms) and the per-process trace ids
-#      are masked. The file holds two blank lines and one duplicated id,
-#      so both front ends must answer every line and agree on byte offsets.
+#      are masked. The file holds two blank lines, one CRLF-terminated
+#      request and one duplicated id, so both front ends must answer every
+#      line and agree on byte offsets.
 #
 #   2. A two-process fleet — a front popbean-serve whose single local
 #      shard is deliberately starved (1 thread, queue capacity 2) plus a
-#      --shard-remote sibling process — driven by popbean-stress --tcp
-#      with 10% connection chaos (abrupt closes, half-closes, garbage,
+#      --shard-remote sibling process — driven by popbean-stress with 10%
+#      connection chaos (abrupt closes, half-closes, garbage,
 #      slow writers, reconnect storms). Mid-run the remote shard is
 #      SIGKILLed and then revived on the same port: the front's link
 #      breaker must open during the outage and close after the revival,
@@ -37,43 +38,11 @@
 # Usage: scripts/ci_tcp_check.sh [build-dir]
 set -e -u -o pipefail
 
+source "$(dirname "$0")/serve_lib.sh"
 BUILD="${1:-build}"
 SERVE_BIN="$BUILD/tools/popbean-serve"
 STRESS_BIN="$BUILD/tools/popbean-stress"
-for bin in "$SERVE_BIN" "$STRESS_BIN"; do
-  if [[ ! -x "$bin" ]]; then
-    echo "$bin not found (build it first)" >&2
-    exit 2
-  fi
-done
-
-WORKDIR="$(mktemp -d)"
-SERVE_PIDS=()
-cleanup() {
-  for pid in "${SERVE_PIDS[@]:-}"; do
-    kill -KILL "$pid" 2>/dev/null || true
-  done
-  rm -rf "$WORKDIR"
-}
-trap cleanup EXIT
-
-# Polls PORT_FILE until the server has written its bound port.
-await_port() {
-  local port_file="$1" pid="$2"
-  for _ in $(seq 1 100); do
-    if [[ -s "$port_file" ]]; then
-      cat "$port_file"
-      return 0
-    fi
-    if ! kill -0 "$pid" 2>/dev/null; then
-      echo "server $pid died before writing $port_file" >&2
-      return 1
-    fi
-    sleep 0.05
-  done
-  echo "timed out waiting for $port_file" >&2
-  return 1
-}
+require_bins "$SERVE_BIN" "$STRESS_BIN"
 
 echo "=== leg 1: stdin vs TCP bit-identical decision payloads (k=1) ==="
 python3 - "$WORKDIR" <<'EOF'
@@ -89,20 +58,17 @@ with open(f"{workdir}/requests.ndjson", "w") as f:
         f.write(request(i))
         if i == 19:
             f.write("\n\n")        # two blank lines: two invalid responses
+    f.write(request(40).replace("\n", "\r\n"))  # CRLF-terminated request
     f.write(request(7))           # duplicate id: one invalid response
 EOF
 "$SERVE_BIN" --threads=2 \
   < "$WORKDIR/requests.ndjson" > "$WORKDIR/stdin_responses.ndjson"
 
-"$SERVE_BIN" --threads=2 --listen=127.0.0.1:0 \
-  --port-file="$WORKDIR/leg1.port" \
-  --responses-out="$WORKDIR/tcp_responses.ndjson" \
-  2>"$WORKDIR/leg1_serve.log" &
-LEG1_PID=$!
-SERVE_PIDS+=("$LEG1_PID")
-LEG1_PORT="$(await_port "$WORKDIR/leg1.port" "$LEG1_PID")"
+serve_start leg1 "$SERVE_BIN" --threads=2 \
+  --responses-out="$WORKDIR/tcp_responses.ndjson"
+LEG1_PID=$SERVE_PID
 
-python3 - "$WORKDIR" "$LEG1_PORT" <<'EOF'
+python3 - "$WORKDIR" "$SERVE_PORT" <<'EOF'
 import socket, sys
 workdir, port = sys.argv[1], int(sys.argv[2])
 payload = open(f"{workdir}/requests.ndjson", "rb").read()
@@ -117,16 +83,10 @@ while True:
     received += chunk
 sock.close()
 lines = [l for l in received.decode().splitlines() if l]
-assert len(lines) == 43, f"expected 43 TCP responses, got {len(lines)}"
+assert len(lines) == 44, f"expected 44 TCP responses, got {len(lines)}"
 EOF
 
-kill -TERM "$LEG1_PID"
-wait "$LEG1_PID" && LEG1_STATUS=0 || LEG1_STATUS=$?
-if [[ "$LEG1_STATUS" -ne 3 ]]; then
-  echo "leg-1 server exited $LEG1_STATUS (expected 3 = drained after signal)" >&2
-  cat "$WORKDIR/leg1_serve.log" >&2
-  exit 1
-fi
+serve_stop leg1 "$LEG1_PID"
 
 python3 - "$WORKDIR" <<'EOF'
 import json, sys
@@ -143,7 +103,7 @@ def decisions(path):
     return sorted(out)
 stdin_leg = decisions(f"{workdir}/stdin_responses.ndjson")
 tcp_leg = decisions(f"{workdir}/tcp_responses.ndjson")
-assert len(stdin_leg) == 43, f"expected 43 stdin responses, got {len(stdin_leg)}"
+assert len(stdin_leg) == 44, f"expected 44 stdin responses, got {len(stdin_leg)}"
 assert stdin_leg == tcp_leg, (
     f"responses diverged:\n  stdin only: {set(stdin_leg) - set(tcp_leg)}\n"
     f"  tcp only:   {set(tcp_leg) - set(stdin_leg)}")
@@ -154,20 +114,17 @@ echo "=== leg 2: 2-process fleet, 10% chaos, SIGKILLed + revived remote ==="
 # The remote shard: a plain single-shard popbean-serve. Its first
 # incarnation dies by SIGKILL; the second rebinds the same port.
 start_remote() {
-  local incarnation="$1" listen="$2"
-  "$SERVE_BIN" --threads=2 --queue-capacity=128 \
-    --listen="$listen" \
-    --port-file="$WORKDIR/remote$incarnation.port" \
+  local incarnation="$1"
+  shift
+  serve_start "remote$incarnation" "$SERVE_BIN" --threads=2 \
+    --queue-capacity=128 \
     --prom-out="$WORKDIR/remote$incarnation.prom" --prom-interval-ms=60000 \
     --trace-out="$WORKDIR/remote$incarnation.trace.json" --trace-cap=65536 \
-    --responses-out="$WORKDIR/remote$incarnation.responses.ndjson" \
-    2>"$WORKDIR/remote$incarnation.log" &
-  REMOTE_PID=$!
-  SERVE_PIDS+=("$REMOTE_PID")
+    --responses-out="$WORKDIR/remote$incarnation.responses.ndjson" "$@"
 }
-start_remote 1 127.0.0.1:0
-REMOTE1_PID=$REMOTE_PID
-REMOTE_PORT="$(await_port "$WORKDIR/remote1.port" "$REMOTE1_PID")"
+start_remote 1
+REMOTE1_PID=$SERVE_PID
+REMOTE_PORT=$SERVE_PORT
 
 # The front: its only local shard is starved on purpose (1 worker, queue
 # capacity 2) so sustained load MUST spill to the remote slot — the
@@ -175,21 +132,17 @@ REMOTE_PORT="$(await_port "$WORKDIR/remote1.port" "$REMOTE1_PID")"
 # what crosses the process boundary. prom-interval-ms is set beyond the
 # run's length so the exposition file can only exist if the final flush
 # on the drain path wrote it (the regression this leg guards).
-"$SERVE_BIN" --threads=1 --queue-capacity=2 \
-  --listen=127.0.0.1:0 --port-file="$WORKDIR/front.port" \
+serve_start front "$SERVE_BIN" --threads=1 --queue-capacity=2 \
   --shard-remote=127.0.0.1:"$REMOTE_PORT" \
   --breaker-failures=3 --breaker-cooldown-ms=300 \
   --read-deadline-ms=1000 \
   --prom-out="$WORKDIR/front.prom" --prom-interval-ms=60000 \
   --trace-out="$WORKDIR/front.trace.json" --trace-cap=65536 \
   --slow-out="$WORKDIR/front.slow.json" \
-  --responses-out="$WORKDIR/front.responses.ndjson" \
-  2>"$WORKDIR/front.log" &
-FRONT_PID=$!
-SERVE_PIDS+=("$FRONT_PID")
-FRONT_PORT="$(await_port "$WORKDIR/front.port" "$FRONT_PID")"
+  --responses-out="$WORKDIR/front.responses.ndjson"
+FRONT_PID=$SERVE_PID
 
-"$STRESS_BIN" --tcp --connect=127.0.0.1:"$FRONT_PORT" \
+"$STRESS_BIN" --connect=127.0.0.1:"$SERVE_PORT" \
   --jobs=300 --connections=8 --rate=100 \
   --n=20000 --eps=0.05 --deadline-ms=4000 \
   --net-chaos=0.1 --net-chaos-seed=11 \
@@ -204,11 +157,11 @@ kill -KILL "$REMOTE1_PID"
 wait "$REMOTE1_PID" 2>/dev/null || true
 sleep 0.8
 echo "--- revive remote shard on port $REMOTE_PORT ---"
-start_remote 2 127.0.0.1:"$REMOTE_PORT"
-REMOTE2_PID=$REMOTE_PID
+start_remote 2 --listen=127.0.0.1:"$REMOTE_PORT"
+REMOTE2_PID=$SERVE_PID
 
 if ! wait "$STRESS_PID"; then
-  echo "popbean-stress --tcp reported a client-side ledger violation" >&2
+  echo "popbean-stress reported a client-side ledger violation" >&2
   cat "$WORKDIR/stress.log" >&2
   exit 1
 fi
@@ -216,20 +169,8 @@ cat "$WORKDIR/stress.log"
 
 # Drain the front while the fleet is still warm: SIGTERM, not EOF, so the
 # final-flush contract is exercised on the signal path.
-kill -TERM "$FRONT_PID"
-wait "$FRONT_PID" && FRONT_STATUS=0 || FRONT_STATUS=$?
-if [[ "$FRONT_STATUS" -ne 3 ]]; then
-  echo "front exited $FRONT_STATUS (expected 3 = drained after signal)" >&2
-  cat "$WORKDIR/front.log" >&2
-  exit 1
-fi
-kill -TERM "$REMOTE2_PID"
-wait "$REMOTE2_PID" && REMOTE2_STATUS=0 || REMOTE2_STATUS=$?
-if [[ "$REMOTE2_STATUS" -ne 3 ]]; then
-  echo "remote exited $REMOTE2_STATUS (expected 3)" >&2
-  cat "$WORKDIR/remote2.log" >&2
-  exit 1
-fi
+serve_stop front "$FRONT_PID"
+serve_stop remote2 "$REMOTE2_PID"
 
 for artifact in front.prom front.trace.json front.slow.json \
                 front.responses.ndjson remote2.prom; do

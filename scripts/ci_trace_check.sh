@@ -3,14 +3,15 @@
 #
 # Two legs:
 #
-#   1. popbean-stress at 2× core saturation over 3 shards with 10% chaos,
-#      writing --trace-out/--prom-out/--responses-out. Validation joins the
-#      three artifacts: every ledgered response carries a nonzero trace id;
+#   1. popbean-serve --listen over 3 shards with 10% chaos, driven over TCP
+#      by popbean-stress at 2× core saturation, writing --trace-out/
+#      --prom-out/--slow-out/--responses-out. Validation joins the server's
+#      artifacts: every ledgered response carries a nonzero trace id;
 #      every *admitted* response's id resolves to exactly one complete
 #      "job" async span tree (one 'b', one 'e') in the Chrome trace, with
 #      at least one replica-execution span inside; rejected responses have
 #      reject instants but no tree. The Prometheus exposition must parse
-#      strictly, expose per-shard AND fleet series, keep cumulative bucket
+#      strictly, expose per-shard, fleet AND net series, keep cumulative bucket
 #      counts monotone, roll counters up exactly (fleet = Σ shards), and
 #      carry at least one histogram exemplar whose trace id belongs to a
 #      recorded response.
@@ -22,32 +23,30 @@
 #      format gate).
 #
 # Usage: scripts/ci_trace_check.sh [build-dir]
-set -u -o pipefail
+set -e -u -o pipefail
 
+source "$(dirname "$0")/serve_lib.sh"
 BUILD="${1:-build}"
 STRESS_BIN="$BUILD/tools/popbean-stress"
 SERVE_BIN="$BUILD/tools/popbean-serve"
 TOP_BIN="$BUILD/tools/popbean-top"
-for bin in "$STRESS_BIN" "$SERVE_BIN" "$TOP_BIN"; do
-  if [[ ! -x "$bin" ]]; then
-    echo "$bin not found (build it first)" >&2
-    exit 2
-  fi
-done
-
-WORKDIR="$(mktemp -d)"
-trap 'rm -rf "$WORKDIR"' EXIT
+require_bins "$STRESS_BIN" "$SERVE_BIN" "$TOP_BIN"
 THREADS="$(( $(nproc) * 2 ))"
 
-echo "=== leg 1: stress at 2x cores, 3 shards, 10% chaos, traced ==="
-"$STRESS_BIN" \
-  --jobs=200 --connections=4 --rate=400 --threads="$THREADS" --shards=3 \
-  --n=200 --eps=0.1 --deadline-ms=3000 --chaos=0.1 \
+echo "=== leg 1: serve at 2x cores, 3 shards, 10% chaos, traced ==="
+serve_start leg1 "$SERVE_BIN" \
+  --threads="$THREADS" --shards=3 --queue-capacity=64 --chaos=0.1 \
+  --breaker-cooldown-ms=250 --quarantine-cooldown-ms=250 \
+  --drain-deadline-ms=12000 --seed=360021 \
   --trace-out="$WORKDIR/trace.json" \
   --prom-out="$WORKDIR/metrics.prom" \
   --slow-out="$WORKDIR/slow.json" \
-  --responses-out="$WORKDIR/responses.ndjson" \
+  --responses-out="$WORKDIR/responses.ndjson"
+"$STRESS_BIN" --connect=127.0.0.1:"$SERVE_PORT" \
+  --jobs=200 --connections=4 --rate=400 \
+  --n=200 --eps=0.1 --deadline-ms=3000 \
   --bench-out="$WORKDIR/BENCH_stress.json"
+serve_stop leg1 "$SERVE_PID"
 
 echo "=== leg 1: join responses <-> span trees <-> exposition ==="
 python3 - "$WORKDIR" <<'EOF'
@@ -131,7 +130,7 @@ for line in prom.splitlines():
         le = float("inf") if le == "+Inf" else float(le)
         buckets.setdefault(shard, []).append((le, float(value)))
 
-assert shards == {"0", "1", "2", "fleet"}, f"shard labels: {shards}"
+assert shards == {"0", "1", "2", "fleet", "net"}, f"shard labels: {shards}"
 assert fleet_completed is not None and fleet_completed == shard_completed, \
     f"fleet rollup {fleet_completed} != shard sum {shard_completed}"
 for shard, series in buckets.items():

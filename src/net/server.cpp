@@ -15,6 +15,38 @@ namespace {
 constexpr std::chrono::milliseconds kTick{25};
 }
 
+std::variant<serve::JobSpec, serve::JobResponse> decode_frame(
+    const LineFramer::Frame& frame, serve::RequestReader& reader,
+    std::size_t max_line_bytes) {
+  serve::ParsedRequest parsed =
+      frame.oversized
+          ? serve::RequestError{"", "oversized frame at byte " +
+                                        std::to_string(frame.offset) + " (" +
+                                        std::to_string(frame.wire_size) +
+                                        " bytes, limit " +
+                                        std::to_string(max_line_bytes) + ")"}
+          : reader.next(frame.line, frame.wire_size);
+  if (auto* spec = std::get_if<serve::JobSpec>(&parsed)) {
+    return std::move(*spec);
+  }
+  auto& error = std::get<serve::RequestError>(parsed);
+  serve::JobResponse response;
+  response.id = std::move(error.id);
+  response.outcome = serve::JobOutcome::kInvalid;
+  response.error = std::move(error.error);
+  return response;
+}
+
+serve::JobResponse torn_frame_response(const LineFramer& framer) {
+  serve::JobResponse response;
+  response.outcome = serve::JobOutcome::kInvalid;
+  response.error = "torn frame at byte " +
+                   std::to_string(framer.partial_offset()) + " (" +
+                   std::to_string(framer.partial_size()) +
+                   " bytes without terminator)";
+  return response;
+}
+
 TcpServer::TcpServer(TcpServerConfig config, SubmitFn submit,
                      ResponseFn on_local)
     : config_(std::move(config)),
@@ -259,34 +291,22 @@ void TcpServer::handle_readable(Connection& conn) {
   while (!conn.close_after_flush) {
     std::optional<LineFramer::Frame> frame = conn.framer.next();
     if (!frame.has_value()) break;
-    if (frame->oversized) {
-      ++stats_.oversized_frames;
-      serve::JobResponse response;
-      response.outcome = serve::JobOutcome::kInvalid;
-      response.error = "oversized frame at byte " +
-                       std::to_string(frame->offset) + " (" +
-                       std::to_string(frame->wire_size) + " bytes, limit " +
-                       std::to_string(config_.max_line_bytes) + ")";
-      synthesize(conn, std::move(response));
-      conn.read_open = false;
-      conn.close_after_flush = true;
-      break;
-    }
-    ++stats_.frames;
-    serve::ParsedRequest parsed =
-        conn.reader.next(frame->line, frame->wire_size);
-    if (auto* spec = std::get_if<serve::JobSpec>(&parsed)) {
+    auto decoded = decode_frame(*frame, conn.reader, config_.max_line_bytes);
+    if (auto* spec = std::get_if<serve::JobSpec>(&decoded)) {
+      ++stats_.frames;
       spec->origin = conn.id;
       ++conn.inflight;
       staged_submits_.push_back(std::move(*spec));
+      continue;
+    }
+    synthesize(conn, std::get<serve::JobResponse>(std::move(decoded)));
+    if (frame->oversized) {
+      ++stats_.oversized_frames;
+      conn.read_open = false;
+      conn.close_after_flush = true;
     } else {
-      const auto& error = std::get<serve::RequestError>(parsed);
+      ++stats_.frames;
       ++stats_.invalid_frames;
-      serve::JobResponse response;
-      response.id = error.id;
-      response.outcome = serve::JobOutcome::kInvalid;
-      response.error = error.error;
-      synthesize(conn, std::move(response));
     }
   }
   if (conn.framer.has_partial()) {
@@ -316,13 +336,7 @@ void TcpServer::synthesize(Connection& conn, serve::JobResponse response) {
 
 void TcpServer::note_torn(Connection& conn) {
   ++stats_.torn_frames;
-  serve::JobResponse response;
-  response.outcome = serve::JobOutcome::kInvalid;
-  response.error = "torn frame at byte " +
-                   std::to_string(conn.framer.partial_offset()) + " (" +
-                   std::to_string(conn.framer.partial_size()) +
-                   " bytes without terminator)";
-  synthesize(conn, std::move(response));
+  synthesize(conn, torn_frame_response(conn.framer));
   conn.partial_since.reset();
   conn.read_open = false;
   conn.close_after_flush = true;

@@ -52,6 +52,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "net/framer.hpp"
@@ -78,6 +79,18 @@ struct TcpServerConfig {
   std::chrono::milliseconds write_deadline{10'000};  // write-stall cutoff
   bool force_poll = false;  // exercise the poll(2) fallback
 };
+
+// One frame through the strict codec, shared by every front end (a TCP
+// connection and popbean-serve's stdin): the spec to submit, or the
+// `invalid` response owed for an oversized frame or a codec error. After an
+// oversized frame the caller stops reading the stream.
+std::variant<serve::JobSpec, serve::JobResponse> decode_frame(
+    const LineFramer::Frame& frame, serve::RequestReader& reader,
+    std::size_t max_line_bytes);
+
+// The `invalid` response owed for bytes left unterminated when a stream
+// ends (or lingers past the read deadline): framer.has_partial() is true.
+serve::JobResponse torn_frame_response(const LineFramer& framer);
 
 class TcpServer {
  public:

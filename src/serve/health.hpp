@@ -64,6 +64,8 @@ struct HealthSnapshot {
   std::size_t inflight = 0;
   int degradation_level = 0;
   std::size_t breakers_open = 0;
+  std::uint64_t breaker_opens = 0;   // closed/half-open → open transitions
+  std::uint64_t breaker_closes = 0;  // half-open → closed transitions
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
   std::uint64_t invalid = 0;
@@ -123,6 +125,8 @@ inline HealthSnapshot derive_health(const obs::MetricsRegistry& registry) {
       static_cast<std::size_t>(detail::gauge_value(snap, "serve.breakers_open"));
   health.overloaded = detail::gauge_value(snap, "serve.overloaded") > 0.5 ||
                       health.breakers_open > 0;
+  health.breaker_opens = detail::counter_value(snap, "serve.breaker_opens");
+  health.breaker_closes = detail::counter_value(snap, "serve.breaker_closes");
   health.accepted = detail::counter_value(snap, "serve.accepted");
   health.rejected = detail::counter_value(snap, "serve.rejected");
   health.invalid = detail::counter_value(snap, "serve.invalid");

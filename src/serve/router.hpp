@@ -264,6 +264,8 @@ class ShardRouter {
       fleet.degradation_level =
           std::max(fleet.degradation_level, h.degradation_level);
       fleet.breakers_open += h.breakers_open;
+      fleet.breaker_opens += h.breaker_opens;
+      fleet.breaker_closes += h.breaker_closes;
       fleet.accepted += h.accepted;
       fleet.rejected += h.rejected;
       fleet.invalid += h.invalid;
@@ -327,18 +329,6 @@ class ShardRouter {
                      {{"shard", "fleet"}});
     if (enrich) enrich(prom);
     prom.write(os);
-  }
-
-  std::uint64_t total_breaker_opens() const {
-    std::uint64_t total = 0;
-    for (const auto& shard : shards_) total += shard->total_breaker_opens();
-    return total;
-  }
-
-  std::uint64_t total_breaker_closes() const {
-    std::uint64_t total = 0;
-    for (const auto& shard : shards_) total += shard->total_breaker_closes();
-    return total;
   }
 
  private:

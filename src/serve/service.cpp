@@ -309,6 +309,8 @@ JobService::MetricIds JobService::register_metrics(
   ids.shed = registry.counter("serve.shed");
   ids.circuit_open = registry.counter("serve.circuit_open");
   ids.watchdog_abandons = registry.counter("serve.watchdog_abandons");
+  ids.breaker_opens = registry.counter("serve.breaker_opens");
+  ids.breaker_closes = registry.counter("serve.breaker_closes");
   ids.voted = registry.counter("serve.vote.voted");
   ids.divergences = registry.counter("serve.vote.divergences");
   ids.no_majority = registry.counter("serve.vote.no_majority");
@@ -830,6 +832,8 @@ JobResponse JobService::execute(const QueuedJob& job, ActiveJob& ctx) {
 
   std::lock_guard lock(mutex_);
   CircuitBreaker& breaker = breakers_.for_key(job.spec.protocol);
+  const std::uint64_t opens_before = breaker.opens();
+  const std::uint64_t closes_before = breaker.closes();
   switch (attempt.kind) {
     case AttemptKind::kOk:
       response.outcome = capped ? JobOutcome::kTruncated : JobOutcome::kDone;
@@ -859,6 +863,9 @@ JobResponse JobService::execute(const QueuedJob& job, ActiveJob& ctx) {
       metrics_.add(ids_.failed);
       break;
   }
+  // Only a recorded outcome moves a breaker between open and closed.
+  if (breaker.opens() != opens_before) metrics_.add(ids_.breaker_opens);
+  if (breaker.closes() != closes_before) metrics_.add(ids_.breaker_closes);
   // Per-family outcome counter (register-or-lookup, same pattern as the
   // divergence counter above) — what popbean-top's family table reads.
   metrics_.add(metrics_.counter("serve.family." + job.spec.protocol + "." +
@@ -974,16 +981,6 @@ CircuitBreaker::State JobService::breaker_state(
                           : it->second.state();
 }
 
-std::uint64_t JobService::total_breaker_opens() const {
-  std::lock_guard lock(mutex_);
-  return breakers_.total_opens();
-}
-
-std::uint64_t JobService::total_breaker_closes() const {
-  std::lock_guard lock(mutex_);
-  return breakers_.total_closes();
-}
-
 CircuitBreaker::VoteState JobService::vote_state(
     const std::string& protocol) const {
   std::lock_guard lock(mutex_);
@@ -991,21 +988,6 @@ CircuitBreaker::VoteState JobService::vote_state(
   const auto it = bank.find(protocol);
   return it == bank.end() ? CircuitBreaker::VoteState::kVoting
                           : it->second.vote_state();
-}
-
-std::uint64_t JobService::total_divergences() const {
-  std::lock_guard lock(mutex_);
-  return breakers_.total_divergences();
-}
-
-std::uint64_t JobService::total_quarantine_entries() const {
-  std::lock_guard lock(mutex_);
-  return breakers_.total_quarantine_entries();
-}
-
-std::uint64_t JobService::total_quarantine_recoveries() const {
-  std::lock_guard lock(mutex_);
-  return breakers_.total_quarantine_recoveries();
 }
 
 }  // namespace popbean::serve

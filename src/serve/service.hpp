@@ -30,7 +30,7 @@
 // flushes still-queued jobs as failed("shutdown"). Every admitted job
 // still gets its one response.
 //
-// The chaos hook exists so tests and tools/popbean-stress can inject
+// The chaos hook exists so tests and tools/popbean-serve can inject
 // worker faults deterministically: kFail fails the attempt (retryable),
 // kSlow wedges the worker without polling the deadline (only the watchdog
 // or drain can unstick it — proving the watchdog is load-bearing), and
@@ -190,13 +190,8 @@ class JobService {
   std::size_t inflight() const;
   // State of the breaker guarding `protocol` (kClosed if never touched).
   CircuitBreaker::State breaker_state(const std::string& protocol) const;
-  std::uint64_t total_breaker_opens() const;
-  std::uint64_t total_breaker_closes() const;
   // Vote-quarantine state of `protocol`'s family (kVoting if never touched).
   CircuitBreaker::VoteState vote_state(const std::string& protocol) const;
-  std::uint64_t total_divergences() const;
-  std::uint64_t total_quarantine_entries() const;
-  std::uint64_t total_quarantine_recoveries() const;
 
  private:
   struct ActiveJob {
@@ -208,9 +203,9 @@ class JobService {
 
   struct MetricIds {
     obs::CounterId accepted, rejected, invalid, completed, truncated, failed,
-        timeouts, retries, shed, circuit_open, watchdog_abandons, voted,
-        divergences, no_majority, quarantine_entered, quarantine_recovered,
-        quarantined_jobs, captures;
+        timeouts, retries, shed, circuit_open, watchdog_abandons,
+        breaker_opens, breaker_closes, voted, divergences, no_majority,
+        quarantine_entered, quarantine_recovered, quarantined_jobs, captures;
     obs::GaugeId live, draining, queue_depth, queue_capacity, inflight,
         degradation_level, breakers_open, overloaded, quarantined_families;
     obs::HistogramId queue_ms, run_ms;

@@ -310,6 +310,8 @@ TEST(RouterTest, PromExpositionCarriesEveryShardsHealthView) {
         {"timeouts", h.timeouts},
         {"retries", h.retries},
         {"shed", h.shed},
+        {"breaker_opens", h.breaker_opens},
+        {"breaker_closes", h.breaker_closes},
         {"vote_voted", h.voted},
         {"vote_divergences", h.divergences},
         {"vote_no_majority", h.no_majority},

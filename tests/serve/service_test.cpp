@@ -148,7 +148,7 @@ TEST(ServiceTest, ChaosFailureIsRetriedUnderBackoffThenSucceeds) {
   // The job's single breaker record was the final success.
   EXPECT_EQ(service.breaker_state("four-state"),
             CircuitBreaker::State::kClosed);
-  EXPECT_EQ(service.total_breaker_opens(), 0u);
+  EXPECT_EQ(service.health().breaker_opens, 0u);
 }
 
 TEST(ServiceTest, ExhaustedRetriesFailTheJob) {
@@ -183,7 +183,7 @@ TEST(ServiceTest, BreakerOpensFastFailsThenRecoversAfterCooldown) {
   EXPECT_TRUE(service.submit(quick_job("bad-2")));
   EXPECT_EQ(collector.await("bad-2").error, "chaos_fail");
   EXPECT_EQ(service.breaker_state("four-state"), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(service.total_breaker_opens(), 1u);
+  EXPECT_EQ(service.health().breaker_opens, 1u);
   EXPECT_TRUE(service.health().overloaded);  // an open breaker alone
 
   // While open, a healthy job fast-fails without burning a worker.
@@ -199,7 +199,7 @@ TEST(ServiceTest, BreakerOpensFastFailsThenRecoversAfterCooldown) {
   EXPECT_EQ(collector.await("probe").outcome, JobOutcome::kDone);
   EXPECT_EQ(service.breaker_state("four-state"),
             CircuitBreaker::State::kClosed);
-  EXPECT_EQ(service.total_breaker_closes(), 1u);
+  EXPECT_EQ(service.health().breaker_closes, 1u);
 }
 
 TEST(ServiceTest, DeadlineExpiredInQueueIsATimeoutTheBreakerNeverSees) {

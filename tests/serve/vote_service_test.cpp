@@ -171,7 +171,6 @@ TEST(VoteServiceTest, CorruptMinorityIsOutvotedAndCaptured) {
   EXPECT_EQ(response.result.wrong, 0u);
   EXPECT_EQ(response.result.correct, 2u);
   EXPECT_EQ(service.health().divergences, 1u);
-  EXPECT_EQ(service.total_divergences(), 1u);
 
   // The minority replica was frozen as a replayable capture pair.
   std::size_t capture_files = 0;
@@ -211,7 +210,7 @@ TEST(VoteServiceTest, RepeatedDivergenceQuarantinesThenProbationRecovers) {
   EXPECT_EQ(diverged.divergent, 1u);
   EXPECT_EQ(service.vote_state("four-state"),
             CircuitBreaker::VoteState::kQuarantined);
-  EXPECT_EQ(service.total_quarantine_entries(), 1u);
+  EXPECT_EQ(service.health().quarantine_entered, 1u);
 
   // While quarantined, jobs degrade to single-replica and say so.
   EXPECT_TRUE(service.submit(quick_job("gated")));
@@ -232,7 +231,6 @@ TEST(VoteServiceTest, RepeatedDivergenceQuarantinesThenProbationRecovers) {
   EXPECT_FALSE(probe.quarantined);
   EXPECT_EQ(service.vote_state("four-state"),
             CircuitBreaker::VoteState::kVoting);
-  EXPECT_EQ(service.total_quarantine_recoveries(), 1u);
   EXPECT_EQ(service.health().quarantine_recovered, 1u);
   EXPECT_EQ(service.health().quarantined_families, 0u);
 }

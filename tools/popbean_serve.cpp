@@ -2,9 +2,11 @@
 //
 // Reads one job request per line (serve/codec.hpp, protocol v1–v2) from
 // stdin, a batch file, or — with --listen — any number of concurrent TCP
-// connections, runs each through the JobService (admission control,
-// per-job deadlines, retry/backoff, per-protocol circuit breakers,
-// replicated voting, graceful degradation — DESIGN.md §9, §12), and
+// connections (every stream goes through the same framing and codec, so
+// --max-line-bytes and torn final lines are answered alike), runs each
+// through the JobService (admission control, per-job deadlines,
+// retry/backoff, per-protocol circuit breakers, replicated voting,
+// graceful degradation — DESIGN.md §9, §12), and
 // writes exactly one terminal NDJSON response line per request:
 // `done`/`truncated`/`timeout`/`failed` for accepted jobs,
 // `overloaded`/`invalid` for rejections. Lines that never parse still get
@@ -23,10 +25,12 @@
 // backoff, a circuit breaker guards each link, and the request's trace id
 // rides the wire so span trees stay causally linked across processes.
 //
-// Exit status: 0 after a clean drain, 2 on usage errors, 3 when
-// interrupted (SIGINT/SIGTERM stop admission, drain in-flight work under
-// the drain deadline, and flush whatever remains as failed("shutdown") —
-// the same convention as popbean-faults). Final observability files
+// Exit status: 0 after the input ends and the service drains, 2 on usage
+// errors, 3 when interrupted (SIGINT/SIGTERM stop admission, drain
+// in-flight work under the drain deadline, and flush whatever remains as
+// failed("shutdown") — the same convention as popbean-faults). A drain
+// that blew its deadline writes one "popbean-serve: drain forced" line to
+// stderr; the exit status does not change. Final observability files
 // (--prom-out, --trace-out, --slow-out) are written on EVERY exit path, each
 // individually guarded, so a wedged worker or one bad sink can never cost
 // the others their last snapshot. Each is staged to PATH.tmp and renamed
@@ -44,7 +48,8 @@
 //                          response line, including ones whose client
 //                          connection died first
 //   --max-connections=K    TCP admission hard cap (default 256)
-//   --max-line-bytes=B     oversized-frame cutoff (default 1 MiB)
+//   --max-line-bytes=B     oversized-frame cutoff for TCP and stdin alike
+//                          (default 1 MiB)
 //   --max-write-buffer=B   per-connection write buffer cap; slow readers
 //                          past it are shed (default 4 MiB)
 //   --idle-timeout-ms=MS   reap idle connections (default 30000)
@@ -71,8 +76,13 @@
 //   --capture-limit=K      max capture pairs per run (default 8)
 //   --seed=S               backoff-jitter seed (default 0x5e7)
 //   --chaos=P              per-attempt chaos probability in [0,1] (default 0:
-//                          no injection; faults are fail/slow/corrupt)
+//                          no injection)
+//   --chaos-kind=KIND      mixed (fail/slow/corrupt, default) | corrupt (every
+//                          injected fault corrupts a replica)
 //   --chaos-seed=S         chaos stream seed (default 7)
+//   --outage-start=I --outage-len=K  every attempt of the jobs admitted
+//                          with sequence in [I, I+K) fails: a scripted
+//                          outage that trips the breaker (default none)
 //   --corrupt-rate=R       per-interaction rate of kCorrupt faults (1e-3)
 //   --telemetry-out=PATH   JSONL vote_divergence events from the service
 //   --trace-out=PATH       Chrome trace JSON of per-job async span trees
@@ -92,6 +102,9 @@
 // SIGUSR1 dumps the current trace/prom/slow files immediately without
 // stopping the service — the live-inspection hook popbean-top leans on.
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -103,6 +116,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "net/remote_shard.hpp"
@@ -138,13 +152,26 @@ extern "C" void handle_dump_signal(int) {
   g_dump_requested.store(true, std::memory_order_relaxed);
 }
 
+struct ChaosPlan {
+  double probability = 0.0;
+  std::uint64_t seed = 7;
+  bool corrupt_only = false;  // --chaos-kind=corrupt
+  std::uint64_t outage_start = 0;
+  std::uint64_t outage_len = 0;
+};
+
 // Deterministic per-(job, attempt) chaos draw: the same request file with
-// the same --chaos-seed injects the same faults. kCorruptAll is never
-// drawn here — it exists for tests that need a deterministic no-majority.
-ChaosAction draw_chaos(double probability, std::uint64_t chaos_seed,
-                       const ChaosContext& ctx) {
-  Xoshiro256ss rng(chaos_seed, ctx.sequence * 8191 + ctx.attempt);
-  if (!rng.bernoulli(probability)) return ChaosAction::kNone;
+// the same --chaos-seed injects the same faults, and the outage window
+// fails every attempt outright. kCorruptAll is never drawn here — it
+// exists for tests that need a deterministic no-majority.
+ChaosAction draw_chaos(const ChaosPlan& plan, const ChaosContext& ctx) {
+  if (ctx.sequence >= plan.outage_start &&
+      ctx.sequence < plan.outage_start + plan.outage_len) {
+    return ChaosAction::kFail;
+  }
+  Xoshiro256ss rng(plan.seed, ctx.sequence * 8191 + ctx.attempt);
+  if (!rng.bernoulli(plan.probability)) return ChaosAction::kNone;
+  if (plan.corrupt_only) return ChaosAction::kCorrupt;
   const std::uint64_t kind = rng.below(4);
   if (kind < 2) return ChaosAction::kFail;  // fail twice as likely
   return kind == 2 ? ChaosAction::kSlow : ChaosAction::kCorrupt;
@@ -165,7 +192,8 @@ int main(int argc, char** argv) {
                       "breaker-cooldown-ms", "replicas",
                       "quarantine-divergences", "quarantine-cooldown-ms",
                       "capture-dir", "capture-limit", "seed", "chaos",
-                      "chaos-seed", "corrupt-rate", "telemetry-out",
+                      "chaos-kind", "chaos-seed", "outage-start",
+                      "outage-len", "corrupt-rate", "telemetry-out",
                       "trace-out", "trace-cap", "prom-out",
                       "prom-interval-ms", "slow-out"});
 
@@ -201,14 +229,23 @@ int main(int argc, char** argv) {
     config.vote_capture_limit =
         static_cast<std::size_t>(args.get_uint64("capture-limit", 8));
     config.seed = args.get_uint64("seed", 0x5e7);
-    const double chaos = args.get_double("chaos", 0.0);
-    if (chaos < 0.0 || chaos > 1.0) {
+    ChaosPlan chaos;
+    chaos.probability = args.get_double("chaos", 0.0);
+    if (chaos.probability < 0.0 || chaos.probability > 1.0) {
       throw std::runtime_error("flag --chaos: must be in [0, 1]");
     }
-    const std::uint64_t chaos_seed = args.get_uint64("chaos-seed", 7);
-    if (chaos > 0.0) {
-      config.chaos = [chaos, chaos_seed](const ChaosContext& ctx) {
-        return draw_chaos(chaos, chaos_seed, ctx);
+    const std::string chaos_kind = args.get_string("chaos-kind", "mixed");
+    if (chaos_kind != "mixed" && chaos_kind != "corrupt") {
+      throw std::runtime_error(
+          "flag --chaos-kind: expected \"mixed\" or \"corrupt\"");
+    }
+    chaos.corrupt_only = chaos_kind == "corrupt";
+    chaos.seed = args.get_uint64("chaos-seed", 7);
+    chaos.outage_start = args.get_uint64("outage-start", 0);
+    chaos.outage_len = args.get_uint64("outage-len", 0);
+    if (chaos.probability > 0.0 || chaos.outage_len > 0) {
+      config.chaos = [chaos](const ChaosContext& ctx) {
+        return draw_chaos(chaos, ctx);
       };
     }
     config.chaos_corrupt_rate = args.get_double("corrupt-rate", 1e-3);
@@ -252,12 +289,11 @@ int main(int argc, char** argv) {
         static_cast<std::int64_t>(args.get_uint64("write-deadline-ms", 10000)));
     tcp_config.force_poll = args.get_bool("force-poll", false);
 
-    std::ifstream jobs_file;
+    int in_fd = STDIN_FILENO;
     if (!jobs_path.empty()) {
-      jobs_file.open(jobs_path);
-      if (!jobs_file) throw std::runtime_error("cannot open " + jobs_path);
+      in_fd = ::open(jobs_path.c_str(), O_RDONLY | O_CLOEXEC);
+      if (in_fd < 0) throw std::runtime_error("cannot open " + jobs_path);
     }
-    std::istream& in = jobs_path.empty() ? std::cin : jobs_file;
 
     std::optional<obs::TelemetrySink> telemetry;
     if (!telemetry_path.empty()) {
@@ -468,21 +504,42 @@ int main(int argc, char** argv) {
           std::this_thread::sleep_for(std::chrono::milliseconds(50));
         }
       } else {
+        // stdin / --jobs: one stream through the framing and codec a TCP
+        // connection uses. An oversized frame ends reading; bytes left
+        // unterminated at EOF are answered as a torn frame.
+        net::LineFramer framer(tcp_config.max_line_bytes);
         RequestReader reader;
-        std::string line;
-        while (!g_interrupted.load(std::memory_order_relaxed) &&
-               std::getline(in, line)) {
-          ParsedRequest request = reader.next(line);
-          if (const auto* error = std::get_if<RequestError>(&request)) {
-            router.note_invalid();
-            JobResponse response;
-            response.id = error->id;
-            response.outcome = JobOutcome::kInvalid;
-            response.error = error->error;
-            emit(response);
-            continue;
+        const auto running = [] {
+          return !g_interrupted.load(std::memory_order_relaxed);
+        };
+        char buffer[65536];
+        bool reading = true;
+        bool eof = false;
+        while (reading && running()) {
+          const netio::IoResult got =
+              netio::read_some(in_fd, buffer, sizeof buffer);
+          if (!got.ok()) {
+            eof = got.status == netio::IoStatus::kClosed;
+            break;
           }
-          router.submit(std::move(std::get<JobSpec>(request)));
+          framer.feed(std::string_view(buffer, got.bytes));
+          while (reading && running()) {
+            const std::optional<net::LineFramer::Frame> frame = framer.next();
+            if (!frame.has_value()) break;
+            auto decoded =
+                net::decode_frame(*frame, reader, tcp_config.max_line_bytes);
+            if (auto* spec = std::get_if<JobSpec>(&decoded)) {
+              router.submit(std::move(*spec));
+              continue;
+            }
+            router.note_invalid();
+            emit(std::get<JobResponse>(decoded));
+            reading = !frame->oversized;
+          }
+        }
+        if (eof && reading && framer.has_partial()) {
+          router.note_invalid();
+          emit(net::torn_frame_response(framer));
         }
       }
 
@@ -492,7 +549,12 @@ int main(int argc, char** argv) {
       // exactly-one-response contract (the event loop keeps delivering
       // while that happens), then the server flushes the last bytes out.
       if (server.has_value()) server->begin_drain();
-      router.drain(config.drain_deadline);
+      if (!router.drain(config.drain_deadline)) {
+        std::cerr << "popbean-serve: drain forced — work still in flight "
+                     "after the "
+                  << config.drain_deadline.count()
+                  << " ms drain deadline was cancelled\n";
+      }
       if (server.has_value()) {
         server->drain(config.drain_deadline);
         server->stop();

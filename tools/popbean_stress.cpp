@@ -1,36 +1,16 @@
-// popbean-stress — open-loop load and chaos generator for the job service.
+// popbean-stress — open-loop load and network-chaos client for popbean-serve.
 //
-// Drives the same service stack that popbean-serve wraps — a ShardRouter
-// over N in-process JobService shards (N = 1 by default) — with an
-// open-loop Poisson arrival stream at a target rate (arrivals do not wait
-// for completions — the honest way to measure an overloaded service).
-// With --connections=C the load is generated by C concurrent client
-// connections, each an independent NDJSON writer thread that renders its
-// requests as protocol-v2 lines, feeds them through its own strict
-// RequestReader (codec validation + duplicate-id rejection, exactly the
-// popbean-serve front-end path), and keeps its own ledger holding the
-// service to the exactly-one-terminal-response contract per connection.
+// Drives a running `popbean-serve --listen` over TCP (--connect=HOST:PORT)
+// with an open-loop Poisson arrival stream at a target rate (arrivals do
+// not wait for completions — the honest way to measure an overloaded
+// service). --connections=C splits the load across C concurrent client
+// connections, each writing protocol-v2 request lines and reading its own
+// responses back. The service itself — shards, queue, breakers, voting,
+// worker chaos, scripted outages, trace and exposition files — is
+// configured on popbean-serve alone; this tool only generates load and
+// audits what comes back.
 //
-// Chaos: --chaos=P injects background worker faults per attempt
-// (--chaos-kind=mixed draws fail/slow/corrupt; --chaos-kind=corrupt makes
-// every injected fault a replica corruption, the vote-recovery scenario),
-// and --outage-start/--outage-len define a window of admission sequences
-// in which every attempt fails — a deterministic outage that must trip
-// the per-protocol circuit breaker. With --expect-recovery the tool also
-// requires the breaker to close again. With --replicas=K and
-// --expect-vote-recovery it requires that replicated voting masked every
-// corruption (zero *voted* wrong decisions), that at least one divergence
-// was detected, and that vote quarantine both engaged and recovered.
-//
-// Output: a human summary on stdout and a BENCH_serve.json-style report
-// (--bench-out) with totals per outcome, ledger violations (aggregate and
-// per connection), latency percentiles and histogram, breaker and vote
-// transition counts, and router stats. The fleet's health counters and
-// gauges are in the --prom-out exposition.
-//
-// TCP mode (--tcp --connect=host:port) points the same generator at a real
-// popbean-serve --listen socket instead of an in-process stack, and adds
-// NETWORK chaos: with --net-chaos=P each connection misbehaves with
+// Network chaos: with --net-chaos=P each connection misbehaves with
 // probability P — abrupt close mid-request, half-close, garbage bytes
 // between valid requests, a one-byte-per---slow-byte-ms writer, or a
 // reconnect storm of short-lived connections. Well-behaved connections
@@ -40,13 +20,29 @@
 // joins that journal against the server's --responses-out ledger: strict
 // ids appear exactly once, and no id ever appears twice.
 //
-// Exit status: 0 when the ledger is clean (and expectations hold), 1 on a
-// contract violation — a missing/duplicate/unknown response, a failed
-// drain, or an expectation miss — and 2 on usage errors.
+// Output: a human summary on stdout and a JSON report (--bench-out) with
+// per-outcome totals, ledger violations, client-measured submit→response
+// latency (quantiles and histogram), per-shard attribution from the v2
+// `shard` response label, the vote-label tallies of the responses, and the
+// per-connection detail. Server-side counters (breaker transitions,
+// divergences, quarantine) are in popbean-serve's --prom-out exposition.
 //
-// Flags (TCP mode):
-//   --tcp                  client mode: drive a --listen server over TCP
-//   --connect=HOST:PORT    server to drive (required with --tcp)
+// Exit status: 0 when the client-side ledger is clean, 1 on a contract
+// violation — a missing, duplicate, or unexpected response, or a request
+// of ours answered `invalid` — and 2 on usage errors.
+//
+// Flags:
+//   --connect=HOST:PORT    server to drive (required)
+//   --jobs=N               jobs to submit across all connections (200)
+//   --connections=C        concurrent client connections (default 1)
+//   --rate=R               target aggregate arrival rate, jobs/sec
+//                          (0 = no pacing; default 50)
+//   --n=POP --eps=E        instance per job (default 300, 0.1)
+//   --replicates=R         statistical replicates per job (default 1)
+//   --replicas=K           vote replicas per job (odd; default 1 = unset)
+//   --deadline-ms=MS       per-job deadline (default 2000)
+//   --seed=S               request seed base (job i runs seed S + i)
+//   --bench-out=PATH       report path (default BENCH_serve.json)
 //   --net-chaos=P          per-connection misbehaviour probability (0)
 //   --net-chaos-kind=KIND  mixed | abrupt-close | half-close | garbage |
 //                          slow-writer | reconnect-storm (default mixed)
@@ -54,45 +50,6 @@
 //   --slow-byte-ms=MS      slow-writer inter-byte gap (default 100)
 //   --submitted-out=PATH   journal of fully-written ids for --tcp-audit
 //   --tcp-audit            join --submitted=PATH vs --ledger=PATH and exit
-//
-// Flags:
-//   --jobs=N               jobs to submit across all connections (200)
-//   --connections=C        concurrent client connections (default 1)
-//   --rate=R               target aggregate arrival rate, jobs/sec
-//                          (0 = no pacing; default 50)
-//   --threads=T            worker threads per shard (default: hardware)
-//   --shards=N             service shards behind the router (default 1)
-//   --queue-capacity=K     admission bound per shard (default 64)
-//   --shed=POLICY          reject-newest | deadline-aware | client-quota
-//   --n=POP --eps=E        instance per job (default 300, 0.1)
-//   --replicates=R         statistical replicates per job (default 1)
-//   --replicas=K           vote replicas per attempt (odd; default 1)
-//   --deadline-ms=MS       per-job deadline (default 2000)
-//   --max-retries=K        retry budget (default 2)
-//   --chaos=P              background chaos probability (default 0)
-//   --chaos-kind=KIND      mixed | corrupt (default mixed)
-//   --corrupt-rate=R       per-interaction corruption rate (default 1e-3)
-//   --outage-start=I --outage-len=K   forced-failure window (default none)
-//   --expect-recovery      require breaker opens ≥ 1 and closes ≥ 1
-//   --expect-vote-recovery require voted_wrong == 0, divergences ≥ 1,
-//                          quarantine entered ≥ 1 and recovered ≥ 1
-//   --breaker-failures=K   breaker trip threshold (default 5)
-//   --breaker-cooldown-ms=MS  open → half-open cooldown (default 250)
-//   --quarantine-divergences=K  vote-quarantine trip threshold (default 3)
-//   --quarantine-cooldown-ms=MS quarantine → probation cooldown (250)
-//   --capture-dir=DIR      divergence capture pairs for popbean-replay
-//   --capture-limit=K      max capture pairs per shard (default 8)
-//   --seed=S --chaos-seed=S   determinism knobs
-//   --bench-out=PATH       report path (default BENCH_serve.json)
-//   --telemetry-out=PATH   JSONL vote_divergence events from the shards
-//   --trace-out=PATH       Chrome trace JSON of per-job async span trees
-//   --trace-cap=K          trace ring capacity in events (default 1000000)
-//   --prom-out=PATH        Prometheus exposition written after the drain
-//   --slow-out=PATH        top-k slow-request log JSON after the drain
-//   --responses-out=PATH   NDJSON of every terminal response
-//                          {id, outcome, trace_id, shard, queue_ms, run_ms}
-//                          — the join file CI uses to check that each job
-//                          resolves to one span tree in the trace
 
 #include <sys/socket.h>
 
@@ -102,10 +59,8 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -113,12 +68,7 @@
 #include <vector>
 
 #include "net/framer.hpp"
-#include "obs/slow_log.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "serve/codec.hpp"
-#include "serve/router.hpp"
-#include "serve/service.hpp"
 #include "util/cli.hpp"
 #include "util/histogram.hpp"
 #include "util/json.hpp"
@@ -133,37 +83,55 @@ using namespace popbean;
 using namespace popbean::serve;
 using Clock = std::chrono::steady_clock;
 
-struct LedgerEntry {
-  Clock::time_point submitted;
-  std::size_t responses = 0;
-  JobOutcome outcome = JobOutcome::kFailed;
-  // v2 response labels: which shard served the job and the trace id that
-  // joins this ledger row to its span tree in --trace-out.
-  std::size_t shard = 0;
-  std::uint64_t trace_id = 0;
-  double latency_ms = -1.0;  // submit → terminal response; -1 = none yet
-};
-
-// One per connection: each client holds the service to exactly one
-// terminal response per id it submitted.
-struct Ledger {
-  std::mutex mutex;
-  std::map<std::string, LedgerEntry> entries;
-  std::size_t unknown = 0;  // responses for ids never submitted
-  std::uint64_t invalid_lines = 0;  // our own request failed the codec
-  std::vector<double> latency_ms;
-  std::map<std::string, std::uint64_t> by_outcome;
-};
-
-// Vote-label tallies across all responses (the response schema carries
+// Vote-label tallies across responses (the response schema carries
 // voted/quarantined/divergent; `wrong` comes from the result payload).
 struct VoteTally {
-  std::mutex mutex;
   std::uint64_t voted_responses = 0;
   std::uint64_t voted_wrong = 0;     // a voted decision that was still wrong
   std::uint64_t unvoted_wrong = 0;   // wrong but unvoted (labelled, allowed)
   std::uint64_t quarantined_responses = 0;
   std::uint64_t divergent_responses = 0;
+
+  void add(const JobResponse& response) {
+    const bool wrong = (response.outcome == JobOutcome::kDone ||
+                        response.outcome == JobOutcome::kTruncated) &&
+                       response.result.wrong > 0;
+    if (response.voted) {
+      ++voted_responses;
+      if (wrong) ++voted_wrong;
+    } else if (wrong) {
+      ++unvoted_wrong;
+    }
+    if (response.quarantined) ++quarantined_responses;
+    if (response.divergent > 0) ++divergent_responses;
+  }
+};
+
+// Outcomes and client-measured latencies of a set of responses.
+struct OutcomeTally {
+  std::map<std::string, std::uint64_t> by_outcome;
+  std::vector<double> latency_ms;  // submit → response line read
+
+  void add(const JobResponse& response, double latency) {
+    ++by_outcome[to_string(response.outcome)];
+    latency_ms.push_back(latency);
+  }
+};
+
+// Every response that answered an id this client submitted, across all
+// connections: fleet-wide, per serving shard, and by vote label.
+struct ResponseTally {
+  std::mutex mutex;
+  OutcomeTally all;
+  std::map<std::size_t, OutcomeTally> by_shard;
+  VoteTally votes;
+
+  void add(const JobResponse& response, double latency) {
+    std::lock_guard lock(mutex);
+    all.add(response, latency);
+    by_shard[response.shard].add(response, latency);
+    votes.add(response);
+  }
 };
 
 JobPriority priority_for(std::uint64_t index) {
@@ -183,8 +151,7 @@ struct LoadShape {
   std::uint64_t seed = 0;
 };
 
-// Renders job `global_index` as a protocol-v2 NDJSON request line — the
-// same bytes a network client would send.
+// Renders job `global_index` as a protocol-v2 NDJSON request line.
 std::string request_line(const std::string& id, std::uint64_t global_index,
                          const LoadShape& shape) {
   std::ostringstream buffer;
@@ -206,17 +173,14 @@ std::string request_line(const std::string& id, std::uint64_t global_index,
   return json_single_line(buffer.str());
 }
 
-// ---- TCP client mode (--tcp --connect=host:port) -------------------------
-//
-// The same load generator pointed at a real popbean-serve --listen socket,
-// plus network chaos: a fraction of connections misbehave on purpose —
-// abrupt mid-request close, half-close, garbage bytes, a one-byte-at-a-time
-// slow writer, reconnect storms. Well-behaved connections audit the
-// exactly-one-response contract client-side; misbehaving ones cannot (their
-// own close may eat responses in flight), so every fully-written request id
-// is journaled to --submitted-out and `popbean-stress --tcp-audit` joins
-// that journal against the server's --responses-out ledger afterwards:
-// strict ids must appear exactly once, and NO id may ever appear twice.
+// A fraction of connections misbehave on purpose — abrupt mid-request
+// close, half-close, garbage bytes, a one-byte-at-a-time slow writer,
+// reconnect storms. Well-behaved connections audit the exactly-one-response
+// contract client-side; misbehaving ones cannot (their own close may eat
+// responses in flight), so every fully-written request id is journaled to
+// --submitted-out and `popbean-stress --tcp-audit` joins that journal
+// against the server's --responses-out ledger afterwards: strict ids must
+// appear exactly once, and NO id may ever appear twice.
 
 enum class NetChaosKind {
   kNone,            // well-behaved: write all, half-close, read to EOF
@@ -242,9 +206,9 @@ const char* chaos_kind_name(NetChaosKind kind) {
 // What one connection saw come back over its own socket.
 struct TcpLedger {
   std::mutex mutex;
-  std::set<std::string> submitted;  // ids whose full line hit the wire
+  // ids whose full line hit the wire, with when the write began
+  std::map<std::string, Clock::time_point> submitted;
   std::map<std::string, std::uint64_t> counts;  // id -> responses seen
-  std::map<std::string, std::uint64_t> by_outcome;
   std::size_t unknown = 0;  // responses for ids we never submitted
 };
 
@@ -264,32 +228,33 @@ struct TcpConnResult {
   std::string error;  // connect failure etc. (informational)
 };
 
-// Drains response lines until EOF, holding the connection's ledger.
-void tcp_read_responses(int fd, TcpLedger& ledger) {
+// Drains response lines until EOF, holding the connection's ledger and
+// tallying every response that answers one of its ids.
+void tcp_read_responses(int fd, TcpLedger& ledger, ResponseTally& tally) {
   net::LineFramer framer(1 << 20);
   char buffer[65536];
   for (;;) {
     const netio::IoResult result = netio::read_some(fd, buffer, sizeof buffer);
     if (result.status != netio::IoStatus::kOk) break;
+    const auto now = Clock::now();
     framer.feed(std::string_view(buffer, result.bytes));
     while (std::optional<net::LineFramer::Frame> frame = framer.next()) {
       std::lock_guard lock(ledger.mutex);
-      if (frame->oversized) {
-        ++ledger.unknown;
-        continue;
+      std::optional<JobResponse> response;
+      if (!frame->oversized) {
+        response = parse_job_response(frame->line, nullptr);
       }
-      std::optional<JobResponse> response =
-          parse_job_response(frame->line, nullptr);
-      if (!response.has_value()) {
-        ++ledger.unknown;
-        continue;
-      }
-      ++ledger.by_outcome[to_string(response->outcome)];
-      if (ledger.submitted.count(response->id) != 0) {
-        ++ledger.counts[response->id];
-      } else {
+      const auto it = response.has_value()
+                          ? ledger.submitted.find(response->id)
+                          : ledger.submitted.end();
+      if (it == ledger.submitted.end()) {
         ++ledger.unknown;  // garbage echoes and torn-frame invalids land here
+        continue;
       }
+      ++ledger.counts[response->id];
+      tally.add(*response,
+                std::chrono::duration<double, std::milli>(now - it->second)
+                    .count());
     }
   }
 }
@@ -304,7 +269,7 @@ bool tcp_send_job(int fd, const std::string& id, std::uint64_t global_index,
   const std::string line = request_line(id, global_index, shape) + "\n";
   {
     std::lock_guard lock(ledger.mutex);
-    ledger.submitted.insert(id);
+    ledger.submitted.emplace(id, Clock::now());
   }
   if (!netio::write_all(fd, line).ok()) {
     std::lock_guard lock(ledger.mutex);
@@ -320,7 +285,8 @@ TcpConnResult run_tcp_connection(const HostPort& target, std::uint64_t conn,
                                  std::uint64_t connections,
                                  const LoadShape& shape, double rate,
                                  NetChaosKind kind, std::uint64_t seed,
-                                 std::chrono::milliseconds slow_byte) {
+                                 std::chrono::milliseconds slow_byte,
+                                 ResponseTally& tally) {
   TcpConnResult result;
   result.kind = kind;
   result.strict = kind != NetChaosKind::kAbruptClose &&
@@ -341,6 +307,7 @@ TcpConnResult run_tcp_connection(const HostPort& target, std::uint64_t conn,
     id += std::to_string(local);
     return id;
   };
+  // Connection c owns global indices c, c + C, c + 2C, …
   std::vector<std::uint64_t> assigned;
   for (std::uint64_t g = conn; g < total_jobs; g += connections) {
     assigned.push_back(g);
@@ -364,7 +331,7 @@ TcpConnResult run_tcp_connection(const HostPort& target, std::uint64_t conn,
                        result)) {
         if (burst % 3 == 0) {
           ::shutdown(fd, SHUT_WR);
-          tcp_read_responses(fd, ledger);
+          tcp_read_responses(fd, ledger, tally);
         }
       }
       netio::close_fd(fd);
@@ -381,7 +348,8 @@ TcpConnResult run_tcp_connection(const HostPort& target, std::uint64_t conn,
     // socket drained so the server never has to buffer for us.
     std::thread reader;
     if (kind != NetChaosKind::kAbruptClose) {
-      reader = std::thread([fd, &ledger] { tcp_read_responses(fd, ledger); });
+      reader = std::thread(
+          [fd, &ledger, &tally] { tcp_read_responses(fd, ledger, tally); });
     }
     switch (kind) {
       case NetChaosKind::kNone:
@@ -428,7 +396,7 @@ TcpConnResult run_tcp_connection(const HostPort& target, std::uint64_t conn,
               request_line(id_of(i), assigned[i], shape) + "\n";
           {
             std::lock_guard lock(ledger.mutex);
-            ledger.submitted.insert(id_of(i));
+            ledger.submitted.emplace(id_of(i), Clock::now());
           }
           for (const char byte : line) {
             if (!netio::write_all(fd, std::string_view(&byte, 1)).ok()) {
@@ -479,7 +447,7 @@ TcpConnResult run_tcp_connection(const HostPort& target, std::uint64_t conn,
     if (count > 1) ++result.duplicates;
   }
   if (result.strict) {
-    for (const std::string& id : ledger.submitted) {
+    for (const auto& [id, when] : ledger.submitted) {
       if (ledger.counts.find(id) == ledger.counts.end()) ++result.missing;
     }
   }
@@ -587,12 +555,22 @@ int run_tcp_audit(const CliArgs& args) {
   return violated ? 1 : 0;
 }
 
+// p50/p90/p99/max of `latency_ms` (sorted in place); empty object if none.
+void write_latency(JsonWriter& json, std::vector<double>& latency_ms) {
+  std::sort(latency_ms.begin(), latency_ms.end());
+  if (latency_ms.empty()) return;
+  json.kv("p50", quantile_sorted(latency_ms, 0.50));
+  json.kv("p90", quantile_sorted(latency_ms, 0.90));
+  json.kv("p99", quantile_sorted(latency_ms, 0.99));
+  json.kv("max", latency_ms.back());
+}
+
 int run_tcp_client(const CliArgs& args, std::uint64_t total_jobs,
                    std::uint64_t connections, double rate,
                    const LoadShape& shape) {
   const std::optional<HostPort> connect = args.get_host_port("connect");
   if (!connect.has_value()) {
-    throw std::runtime_error("--tcp requires --connect=host:port");
+    throw std::runtime_error("--connect=host:port is required");
   }
   const double net_chaos = args.get_double("net-chaos", 0.0);
   if (net_chaos < 0.0 || net_chaos > 1.0) {
@@ -627,6 +605,7 @@ int run_tcp_client(const CliArgs& args, std::uint64_t total_jobs,
   }
 
   const auto load_start = Clock::now();
+  ResponseTally tally;
   std::vector<TcpConnResult> results(connections);
   std::vector<std::thread> clients;
   clients.reserve(connections);
@@ -634,7 +613,7 @@ int run_tcp_client(const CliArgs& args, std::uint64_t total_jobs,
     clients.emplace_back([&, c] {
       results[c] = run_tcp_connection(*connect, c, total_jobs, connections,
                                       shape, rate, kinds[c], net_chaos_seed,
-                                      slow_byte);
+                                      slow_byte, tally);
     });
   }
   for (std::thread& client : clients) client.join();
@@ -677,81 +656,135 @@ int run_tcp_client(const CliArgs& args, std::uint64_t total_jobs,
     ++by_kind[chaos_kind_name(result.kind)];
     if (!result.error.empty()) ++connect_failures;
   }
+  // Every tallied response answers a line this client wrote in full, so
+  // an `invalid` one means request_line has drifted from the codec.
+  const auto invalid_it =
+      tally.all.by_outcome.find(to_string(JobOutcome::kInvalid));
+  const std::uint64_t invalid =
+      invalid_it == tally.all.by_outcome.end() ? 0 : invalid_it->second;
   bool violated = false;
-  if (missing > 0 || duplicates > 0 || excess_unknown > 0) {
+  if (missing > 0 || duplicates > 0 || excess_unknown > 0 || invalid > 0) {
     std::cerr << "popbean-stress: client-side ledger violation — missing="
               << missing << " duplicates=" << duplicates
-              << " excess_unknown=" << excess_unknown << "\n";
+              << " unknown=" << excess_unknown << " invalid=" << invalid
+              << "\n";
     violated = true;
   }
 
-  std::cout << "popbean-stress: tcp " << submitted << " submitted over "
+  std::cout << "popbean-stress: " << submitted << " submitted over "
             << connections << " connection(s) to " << connect->to_string()
             << " in " << load_s << " s  responses=" << responses;
+  for (const auto& [outcome, count] : tally.all.by_outcome) {
+    std::cout << "  " << outcome << "=" << count;
+  }
   for (const auto& [kind, count] : by_kind) {
     std::cout << "  " << kind << "=" << count;
   }
   std::cout << "  missing=" << missing << " duplicates=" << duplicates
             << " connect_failures=" << connect_failures << "\n";
 
-  {
-    std::ofstream out(bench_path);
-    if (!out) throw std::runtime_error("cannot open " + bench_path);
-    JsonWriter json(out);
-    json.begin_object();
-    json.kv("tool", "popbean-stress");
-    json.kv("mode", "tcp");
-    json.key("config");
-    json.begin_object();
-    json.kv("target", connect->to_string());
-    json.kv("jobs", total_jobs);
-    json.kv("connections", connections);
-    json.kv("rate", rate);
-    json.kv("net_chaos", net_chaos);
-    json.kv("net_chaos_kind", kind_text);
-    json.kv("net_chaos_seed", net_chaos_seed);
-    json.kv("n", shape.n);
-    json.kv("eps", shape.eps);
-    json.kv("deadline_ms", shape.deadline_ms);
-    json.end_object();
-    json.key("totals");
-    json.begin_object();
-    json.kv("submitted", static_cast<std::uint64_t>(submitted));
-    json.kv("responses", static_cast<std::uint64_t>(responses));
-    json.kv("connect_failures", static_cast<std::uint64_t>(connect_failures));
-    json.end_object();
-    json.key("ledger");
-    json.begin_object();
-    json.kv("missing", static_cast<std::uint64_t>(missing));
-    json.kv("duplicates", static_cast<std::uint64_t>(duplicates));
-    json.kv("excess_unknown", static_cast<std::uint64_t>(excess_unknown));
-    json.end_object();
-    json.key("chaos_kinds");
-    json.begin_object();
-    for (const auto& [kind, count] : by_kind) json.kv(kind, count);
-    json.end_object();
-    json.key("connections_detail");
-    json.begin_array();
-    for (std::uint64_t c = 0; c < connections; ++c) {
-      const TcpConnResult& result = results[c];
-      json.begin_object();
-      json.kv("connection", c);
-      json.kv("kind", chaos_kind_name(result.kind));
-      json.kv("strict", result.strict);
-      json.kv("submitted", static_cast<std::uint64_t>(result.submitted));
-      json.kv("responses", static_cast<std::uint64_t>(result.responses));
-      json.kv("missing", static_cast<std::uint64_t>(result.missing));
-      json.kv("duplicates", static_cast<std::uint64_t>(result.duplicates));
-      json.kv("unknown", static_cast<std::uint64_t>(result.unknown));
-      if (!result.error.empty()) json.kv("error", result.error);
-      json.end_object();
-    }
-    json.end_array();
-    json.kv("wall_s", load_s);
-    json.end_object();
-    out << "\n";
-    std::cout << "Report written to " << bench_path << "\n";
+  std::ofstream out(bench_path);
+  if (!out) throw std::runtime_error("cannot open " + bench_path);
+  JsonWriter json(out);
+  json.begin_object();
+  json.kv("tool", "popbean-stress");
+  json.key("config");
+  json.begin_object();
+  json.kv("target", connect->to_string());
+  json.kv("jobs", total_jobs);
+  json.kv("connections", connections);
+  json.kv("rate", rate);
+  json.kv("net_chaos", net_chaos);
+  json.kv("net_chaos_kind", kind_text);
+  json.kv("net_chaos_seed", net_chaos_seed);
+  json.kv("n", shape.n);
+  json.kv("eps", shape.eps);
+  json.kv("replicates", static_cast<std::uint64_t>(shape.replicates));
+  json.kv("replicas", static_cast<std::uint64_t>(shape.replicas));
+  json.kv("deadline_ms", shape.deadline_ms);
+  json.kv("seed", shape.seed);
+  json.end_object();
+  json.key("totals");
+  json.begin_object();
+  json.kv("submitted", static_cast<std::uint64_t>(submitted));
+  for (const auto& [outcome, count] : tally.all.by_outcome) {
+    json.kv(outcome, count);
   }
+  json.kv("responses", static_cast<std::uint64_t>(responses));
+  json.kv("connect_failures", static_cast<std::uint64_t>(connect_failures));
+  json.end_object();
+  json.key("ledger");
+  json.begin_object();
+  json.kv("missing", static_cast<std::uint64_t>(missing));
+  json.kv("duplicates", static_cast<std::uint64_t>(duplicates));
+  json.kv("unknown", static_cast<std::uint64_t>(excess_unknown));
+  json.kv("invalid", invalid);
+  json.end_object();
+  Histogram latency_hist = Histogram::logarithmic(1e-2, 1e5, 36);
+  for (const double ms : tally.all.latency_ms) latency_hist.add(ms);
+  json.key("latency_ms");
+  json.begin_object();
+  write_latency(json, tally.all.latency_ms);
+  json.key("histogram");
+  latency_hist.write_json(json);
+  json.end_object();
+  json.key("vote");
+  json.begin_object();
+  json.kv("voted_responses", tally.votes.voted_responses);
+  json.kv("voted_wrong", tally.votes.voted_wrong);
+  json.kv("unvoted_wrong", tally.votes.unvoted_wrong);
+  json.kv("divergent_responses", tally.votes.divergent_responses);
+  json.kv("quarantined_responses", tally.votes.quarantined_responses);
+  json.end_object();
+  // Per-shard attribution from the v2 `shard` response label — who
+  // actually served what.
+  json.key("per_shard");
+  json.begin_array();
+  for (auto& [shard, shard_tally] : tally.by_shard) {
+    json.begin_object();
+    json.kv("shard", static_cast<std::uint64_t>(shard));
+    json.kv("responses",
+            static_cast<std::uint64_t>(shard_tally.latency_ms.size()));
+    json.key("by_outcome");
+    json.begin_object();
+    for (const auto& [outcome, count] : shard_tally.by_outcome) {
+      json.kv(outcome, count);
+    }
+    json.end_object();
+    json.key("latency_ms");
+    json.begin_object();
+    write_latency(json, shard_tally.latency_ms);
+    json.end_object();
+    json.end_object();
+  }
+  json.end_array();
+  json.key("chaos_kinds");
+  json.begin_object();
+  for (const auto& [kind, count] : by_kind) json.kv(kind, count);
+  json.end_object();
+  json.key("connections_detail");
+  json.begin_array();
+  for (std::uint64_t c = 0; c < connections; ++c) {
+    const TcpConnResult& result = results[c];
+    json.begin_object();
+    json.kv("connection", c);
+    json.kv("kind", chaos_kind_name(result.kind));
+    json.kv("strict", result.strict);
+    json.kv("submitted", static_cast<std::uint64_t>(result.submitted));
+    json.kv("responses", static_cast<std::uint64_t>(result.responses));
+    json.kv("missing", static_cast<std::uint64_t>(result.missing));
+    json.kv("duplicates", static_cast<std::uint64_t>(result.duplicates));
+    json.kv("unknown", static_cast<std::uint64_t>(result.unknown));
+    if (!result.error.empty()) json.kv("error", result.error);
+    json.end_object();
+  }
+  json.end_array();
+  json.kv("wall_s", load_s);
+  json.kv("throughput_jobs_per_s",
+          load_s > 0.0 ? static_cast<double>(responses) / load_s : 0.0);
+  json.end_object();
+  out << "\n";
+  std::cout << "Report written to " << bench_path << "\n";
   return violated ? 1 : 0;
 }
 
@@ -760,17 +793,9 @@ int run_tcp_client(const CliArgs& args, std::uint64_t total_jobs,
 int main(int argc, char** argv) {
   try {
     const CliArgs args(argc, argv);
-    args.check_known({"jobs", "connections", "rate", "threads", "shards",
-                      "queue-capacity", "shed", "n", "eps", "replicates",
-                      "replicas", "deadline-ms", "max-retries", "chaos",
-                      "chaos-kind", "corrupt-rate", "outage-start",
-                      "outage-len", "expect-recovery", "expect-vote-recovery",
-                      "breaker-failures", "breaker-cooldown-ms",
-                      "quarantine-divergences", "quarantine-cooldown-ms",
-                      "capture-dir", "capture-limit", "seed", "chaos-seed",
-                      "bench-out", "telemetry-out", "trace-out", "trace-cap",
-                      "prom-out", "slow-out", "responses-out",
-                      "tcp", "connect", "net-chaos", "net-chaos-kind",
+    args.check_known({"jobs", "connections", "rate", "n", "eps",
+                      "replicates", "replicas", "deadline-ms", "seed",
+                      "bench-out", "connect", "net-chaos", "net-chaos-kind",
                       "net-chaos-seed", "slow-byte-ms", "submitted-out",
                       "tcp-audit", "submitted", "ledger"});
 
@@ -794,518 +819,8 @@ int main(int argc, char** argv) {
       throw std::runtime_error("flag --replicas: must be odd");
     }
     shape.deadline_ms = args.get_uint64("deadline-ms", 2000);
-    const double chaos = args.get_double("chaos", 0.0);
-    if (chaos < 0.0 || chaos > 1.0) {
-      throw std::runtime_error("flag --chaos: must be in [0, 1]");
-    }
-    const std::string chaos_kind = args.get_string("chaos-kind", "mixed");
-    if (chaos_kind != "mixed" && chaos_kind != "corrupt") {
-      throw std::runtime_error(
-          "flag --chaos-kind: expected \"mixed\" or \"corrupt\"");
-    }
-    const std::uint64_t outage_start = args.get_uint64("outage-start", 0);
-    const std::uint64_t outage_len = args.get_uint64("outage-len", 0);
-    const bool expect_recovery = args.get_bool("expect-recovery", false);
-    const bool expect_vote_recovery =
-        args.get_bool("expect-vote-recovery", false);
-    const std::uint64_t seed = args.get_uint64("seed", 0x57e55);
-    shape.seed = seed;
-    if (args.get_bool("tcp", false)) {
-      return run_tcp_client(args, total_jobs, connections, rate, shape);
-    }
-    const std::uint64_t chaos_seed = args.get_uint64("chaos-seed", 7);
-    const std::size_t shards =
-        static_cast<std::size_t>(args.get_uint64("shards", 1));
-    if (shards < 1) throw std::runtime_error("flag --shards: must be >= 1");
-    const std::string bench_path =
-        args.get_string("bench-out", "BENCH_serve.json");
-    const std::string telemetry_path = args.get_string("telemetry-out", "");
-    const std::string trace_path = args.get_string("trace-out", "");
-    const std::uint64_t trace_cap = args.get_uint64(
-        "trace-cap", obs::TraceCollector::kDefaultCapacity);
-    if (trace_cap == 0) {
-      throw std::runtime_error("flag --trace-cap: must be >= 1");
-    }
-    const std::string prom_path = args.get_string("prom-out", "");
-    const std::string slow_path = args.get_string("slow-out", "");
-    const std::string responses_path = args.get_string("responses-out", "");
-
-    ServiceConfig config;
-    config.threads = static_cast<std::size_t>(args.get_uint64("threads", 0));
-    config.admission.capacity =
-        static_cast<std::size_t>(args.get_uint64("queue-capacity", 64));
-    config.admission.policy =
-        parse_shed_policy(args.get_string("shed", "reject-newest"));
-    config.max_retries =
-        static_cast<std::size_t>(args.get_uint64("max-retries", 2));
-    config.breaker.failure_threshold =
-        static_cast<std::size_t>(args.get_uint64("breaker-failures", 5));
-    config.breaker.cooldown = std::chrono::milliseconds(
-        static_cast<std::int64_t>(args.get_uint64("breaker-cooldown-ms", 250)));
-    config.breaker.quarantine_divergences = static_cast<std::size_t>(
-        args.get_uint64("quarantine-divergences", 3));
-    config.breaker.quarantine_cooldown =
-        std::chrono::milliseconds(static_cast<std::int64_t>(
-            args.get_uint64("quarantine-cooldown-ms", 250)));
-    config.vote_replicas = shape.replicas;
-    config.vote_capture_dir = args.get_string("capture-dir", "");
-    config.vote_capture_limit =
-        static_cast<std::size_t>(args.get_uint64("capture-limit", 8));
-    config.chaos_corrupt_rate = args.get_double("corrupt-rate", 1e-3);
-    config.seed = seed;
-    // The drain budget must cover the jobs still in flight at end of load.
-    config.drain_deadline = std::chrono::milliseconds(
-        static_cast<std::int64_t>(std::max<std::uint64_t>(
-            4 * shape.deadline_ms, 5000)));
-    const bool corrupt_only = chaos_kind == "corrupt";
-    if (chaos > 0.0 || outage_len > 0) {
-      config.chaos = [chaos, chaos_seed, outage_start, outage_len,
-                      corrupt_only](const ChaosContext& ctx) {
-        if (ctx.sequence >= outage_start &&
-            ctx.sequence < outage_start + outage_len) {
-          return ChaosAction::kFail;  // hard outage: every attempt dies
-        }
-        Xoshiro256ss rng(chaos_seed, ctx.sequence * 8191 + ctx.attempt);
-        if (!rng.bernoulli(chaos)) return ChaosAction::kNone;
-        if (corrupt_only) return ChaosAction::kCorrupt;
-        const std::uint64_t kind = rng.below(4);
-        if (kind < 2) return ChaosAction::kFail;
-        return kind == 2 ? ChaosAction::kSlow : ChaosAction::kCorrupt;
-      };
-    }
-
-    std::optional<obs::TelemetrySink> telemetry;
-    if (!telemetry_path.empty()) {
-      telemetry.emplace(telemetry_path);
-      config.telemetry = &*telemetry;
-    }
-    std::optional<obs::TraceCollector> trace;
-    if (!trace_path.empty()) {
-      trace.emplace(static_cast<std::size_t>(trace_cap));
-      config.trace = &*trace;
-    }
-    std::optional<obs::SlowLog> slow_log;
-    if (!slow_path.empty()) {
-      slow_log.emplace();
-      config.slow_log = &*slow_log;
-    }
-    std::optional<std::ofstream> responses_out;
-    std::mutex responses_mutex;
-    if (!responses_path.empty()) {
-      responses_out.emplace(responses_path);
-      if (!*responses_out) {
-        throw std::runtime_error("cannot open " + responses_path);
-      }
-    }
-
-    // --- Per-connection ledgers; ids carry the connection index so the ---
-    // --- response sink can route each response to its client's ledger. ---
-    std::vector<std::unique_ptr<Ledger>> ledgers;
-    for (std::uint64_t c = 0; c < connections; ++c) {
-      ledgers.push_back(std::make_unique<Ledger>());
-    }
-    const auto connection_of = [&](const std::string& id) -> Ledger* {
-      if (connections == 1) return ledgers[0].get();
-      if (id.size() < 2 || id[0] != 'c') return nullptr;
-      std::uint64_t conn = 0;
-      std::size_t pos = 1;
-      while (pos < id.size() && id[pos] >= '0' && id[pos] <= '9') {
-        conn = conn * 10 + static_cast<std::uint64_t>(id[pos] - '0');
-        ++pos;
-      }
-      if (pos == 1 || pos >= id.size() || id[pos] != '-') return nullptr;
-      return conn < connections ? ledgers[conn].get() : nullptr;
-    };
-
-    VoteTally votes;
-    const auto on_response = [&](const JobResponse& response) {
-      const auto now = Clock::now();
-      if (responses_out) {
-        // One join line per terminal response: ledger id ↔ trace id ↔
-        // serving shard, for the CI trace checker and ad-hoc joins.
-        std::ostringstream buffer;
-        JsonWriter json(buffer);
-        json.begin_object();
-        json.kv("id", response.id);
-        json.kv("outcome", to_string(response.outcome));
-        json.kv("trace_id", response.trace_id);
-        json.kv("shard", static_cast<std::uint64_t>(response.shard));
-        json.kv("queue_ms", response.queue_ms);
-        json.kv("run_ms", response.run_ms);
-        json.end_object();
-        std::lock_guard lock(responses_mutex);
-        *responses_out << json_single_line(buffer.str()) << "\n";
-      }
-      {
-        std::lock_guard lock(votes.mutex);
-        const bool wrong =
-            (response.outcome == JobOutcome::kDone ||
-             response.outcome == JobOutcome::kTruncated) &&
-            response.result.wrong > 0;
-        if (response.voted) {
-          ++votes.voted_responses;
-          if (wrong) ++votes.voted_wrong;
-        } else if (wrong) {
-          ++votes.unvoted_wrong;
-        }
-        if (response.quarantined) ++votes.quarantined_responses;
-        if (response.divergent > 0) ++votes.divergent_responses;
-      }
-      Ledger* ledger = connection_of(response.id);
-      if (ledger == nullptr) ledger = ledgers[0].get();
-      std::lock_guard lock(ledger->mutex);
-      ++ledger->by_outcome[to_string(response.outcome)];
-      const auto it = ledger->entries.find(response.id);
-      if (it == ledger->entries.end()) {
-        ++ledger->unknown;
-        return;
-      }
-      ++it->second.responses;
-      it->second.outcome = response.outcome;
-      it->second.shard = response.shard;
-      it->second.trace_id = response.trace_id;
-      const double latency =
-          std::chrono::duration<double, std::milli>(now - it->second.submitted)
-              .count();
-      it->second.latency_ms = latency;
-      ledger->latency_ms.push_back(latency);
-    };
-
-    RouterConfig router_config;
-    router_config.shards = shards;
-    router_config.service = config;
-    ShardRouter router(std::move(router_config), on_response);
-
-    // --- Open-loop load: C writer threads, each its own NDJSON client ---
-    const auto load_start = Clock::now();
-    std::vector<std::thread> writers;
-    writers.reserve(connections);
-    for (std::uint64_t c = 0; c < connections; ++c) {
-      writers.emplace_back([&, c] {
-        Ledger& ledger = *ledgers[c];
-        RequestReader reader;  // strict per-connection codec state
-        Xoshiro256ss arrivals(seed, /*stream=*/0xa881 + c);
-        const double conn_rate =
-            rate / static_cast<double>(connections);
-        // Connection c owns global indices c, c + C, c + 2C, …
-        for (std::uint64_t g = c; g < total_jobs; g += connections) {
-          const std::uint64_t local = g / connections;
-          std::string id;
-          if (connections == 1) {
-            id = "job-";
-            id += std::to_string(g);
-          } else {
-            id = "c";
-            id += std::to_string(c);
-            id += "-job-";
-            id += std::to_string(local);
-          }
-          const std::string line = request_line(id, g, shape);
-          ParsedRequest request = reader.next(line);
-          if (const auto* error = std::get_if<RequestError>(&request)) {
-            // Our own generator produced a line its codec rejects — count
-            // it (the audit below fails on any) rather than submit.
-            std::lock_guard lock(ledger.mutex);
-            ++ledger.invalid_lines;
-            (void)error;
-            continue;
-          }
-          JobSpec spec = std::move(std::get<JobSpec>(request));
-          {
-            std::lock_guard lock(ledger.mutex);
-            ledger.entries[spec.id].submitted = Clock::now();
-          }
-          router.submit(std::move(spec));
-          if (conn_rate > 0.0 && g + connections < total_jobs) {
-            const double wait_s = arrivals.exponential(conn_rate);
-            std::this_thread::sleep_for(std::chrono::duration<double>(wait_s));
-          }
-        }
-      });
-    }
-    for (std::thread& writer : writers) writer.join();
-    const bool drained = router.drain(config.drain_deadline);
-    const double load_s = std::chrono::duration<double>(
-                              Clock::now() - load_start)
-                              .count();
-
-    // --- Ledger audit: exactly one terminal response per submitted job ---
-    struct ConnectionAudit {
-      std::size_t submitted = 0;
-      std::size_t missing = 0;
-      std::size_t duplicates = 0;
-      std::size_t unknown = 0;
-      std::uint64_t invalid_lines = 0;
-      // Responses per serving shard, from the v2 `shard` response label.
-      std::map<std::size_t, std::uint64_t> by_shard;
-    };
-    // Fleet-side view of the same label: what each shard actually served.
-    struct ShardTally {
-      std::uint64_t responses = 0;
-      std::map<std::string, std::uint64_t> by_outcome;
-      std::vector<double> latency_ms;
-    };
-    std::vector<ConnectionAudit> audits(connections);
-    std::vector<ShardTally> shard_tallies(shards);
-    std::size_t missing = 0;
-    std::size_t duplicates = 0;
-    std::size_t unknown = 0;
-    std::uint64_t invalid_lines = 0;
-    std::vector<double> latency_ms;
-    std::map<std::string, std::uint64_t> by_outcome;
-    for (std::uint64_t c = 0; c < connections; ++c) {
-      Ledger& ledger = *ledgers[c];
-      std::lock_guard lock(ledger.mutex);
-      ConnectionAudit& audit = audits[c];
-      audit.submitted = ledger.entries.size();
-      for (const auto& [id, entry] : ledger.entries) {
-        if (entry.responses == 0) ++audit.missing;
-        if (entry.responses > 1) ++audit.duplicates;
-        if (entry.responses > 0 && entry.shard < shards) {
-          ++audit.by_shard[entry.shard];
-          ShardTally& tally = shard_tallies[entry.shard];
-          ++tally.responses;
-          ++tally.by_outcome[to_string(entry.outcome)];
-          if (entry.latency_ms >= 0.0) {
-            tally.latency_ms.push_back(entry.latency_ms);
-          }
-        }
-      }
-      audit.unknown = ledger.unknown;
-      audit.invalid_lines = ledger.invalid_lines;
-      missing += audit.missing;
-      duplicates += audit.duplicates;
-      unknown += audit.unknown;
-      invalid_lines += audit.invalid_lines;
-      latency_ms.insert(latency_ms.end(), ledger.latency_ms.begin(),
-                        ledger.latency_ms.end());
-      for (const auto& [outcome, count] : ledger.by_outcome) {
-        by_outcome[outcome] += count;
-      }
-    }
-    const std::uint64_t opens = router.total_breaker_opens();
-    const std::uint64_t closes = router.total_breaker_closes();
-    const HealthSnapshot health = router.health();
-    const ShardRouter::Stats router_stats = router.stats();
-
-    bool failed_expectation = false;
-    if (missing > 0 || duplicates > 0 || unknown > 0 || invalid_lines > 0) {
-      std::cerr << "popbean-stress: ledger violation — missing=" << missing
-                << " duplicates=" << duplicates << " unknown=" << unknown
-                << " invalid_lines=" << invalid_lines << "\n";
-      failed_expectation = true;
-    }
-    if (!drained) {
-      std::cerr << "popbean-stress: drain blew its deadline (service "
-                   "cancelled in-flight work)\n";
-      failed_expectation = true;
-    }
-    if (expect_recovery && (opens == 0 || closes == 0)) {
-      std::cerr << "popbean-stress: expected breaker recovery, saw opens="
-                << opens << " closes=" << closes << "\n";
-      failed_expectation = true;
-    }
-    if (expect_vote_recovery) {
-      // The vote-recovery contract: voting masked every injected
-      // corruption (an *unvoted* wrong answer is permitted — it is
-      // labelled as such), divergences were actually detected, and the
-      // quarantine state machine made a full enter → recover round trip.
-      if (votes.voted_wrong > 0) {
-        std::cerr << "popbean-stress: " << votes.voted_wrong
-                  << " voted responses carried a wrong decision\n";
-        failed_expectation = true;
-      }
-      if (health.divergences == 0) {
-        std::cerr << "popbean-stress: expected >= 1 vote divergence\n";
-        failed_expectation = true;
-      }
-      if (health.quarantine_entered == 0 || health.quarantine_recovered == 0) {
-        std::cerr << "popbean-stress: expected quarantine round trip, saw "
-                  << "entered=" << health.quarantine_entered
-                  << " recovered=" << health.quarantine_recovered << "\n";
-        failed_expectation = true;
-      }
-    }
-
-    std::sort(latency_ms.begin(), latency_ms.end());
-    Histogram latency_hist = Histogram::logarithmic(1e-2, 1e5, 36);
-    for (const double ms : latency_ms) latency_hist.add(ms);
-    std::uint64_t responses = 0;
-    for (const auto& [outcome, count] : by_outcome) responses += count;
-    const double throughput =
-        load_s > 0.0 ? static_cast<double>(responses) / load_s : 0.0;
-
-    std::cout << "popbean-stress: " << total_jobs << " jobs over "
-              << connections << " connection(s), " << shards
-              << " shard(s) in " << load_s << " s";
-    for (const auto& [outcome, count] : by_outcome) {
-      std::cout << "  " << outcome << "=" << count;
-    }
-    std::cout << "  breaker_opens=" << opens << " closes=" << closes
-              << " voted=" << health.voted
-              << " divergences=" << health.divergences
-              << " quarantine=" << health.quarantine_entered << "/"
-              << health.quarantine_recovered
-              << " drained=" << (drained ? "clean" : "forced") << "\n";
-
-    {
-      std::ofstream out(bench_path);
-      if (!out) throw std::runtime_error("cannot open " + bench_path);
-      JsonWriter json(out);
-      json.begin_object();
-      json.kv("tool", "popbean-stress");
-      json.key("config");
-      json.begin_object();
-      json.kv("jobs", total_jobs);
-      json.kv("connections", connections);
-      json.kv("rate", rate);
-      json.kv("threads",
-              static_cast<std::uint64_t>(router.shard(0).thread_count()));
-      json.kv("shards", static_cast<std::uint64_t>(shards));
-      json.kv("queue_capacity",
-              static_cast<std::uint64_t>(config.admission.capacity));
-      json.kv("shed", to_string(config.admission.policy));
-      json.kv("n", shape.n);
-      json.kv("eps", shape.eps);
-      json.kv("replicates", static_cast<std::uint64_t>(shape.replicates));
-      json.kv("replicas", static_cast<std::uint64_t>(shape.replicas));
-      json.kv("deadline_ms", shape.deadline_ms);
-      json.kv("chaos", chaos);
-      json.kv("chaos_kind", chaos_kind);
-      json.kv("corrupt_rate", config.chaos_corrupt_rate);
-      json.kv("outage_start", outage_start);
-      json.kv("outage_len", outage_len);
-      json.kv("seed", seed);
-      json.end_object();
-      json.key("totals");
-      json.begin_object();
-      json.kv("submitted", total_jobs);
-      for (const auto& [outcome, count] : by_outcome) {
-        json.kv(outcome, count);
-      }
-      json.kv("responses", responses);
-      json.end_object();
-      json.key("ledger");
-      json.begin_object();
-      json.kv("missing", static_cast<std::uint64_t>(missing));
-      json.kv("duplicates", static_cast<std::uint64_t>(duplicates));
-      json.kv("unknown", static_cast<std::uint64_t>(unknown));
-      json.kv("invalid_lines", invalid_lines);
-      json.end_object();
-      json.key("connections");
-      json.begin_array();
-      for (std::uint64_t c = 0; c < connections; ++c) {
-        const ConnectionAudit& audit = audits[c];
-        json.begin_object();
-        json.kv("connection", c);
-        json.kv("submitted", static_cast<std::uint64_t>(audit.submitted));
-        json.kv("missing", static_cast<std::uint64_t>(audit.missing));
-        json.kv("duplicates", static_cast<std::uint64_t>(audit.duplicates));
-        json.kv("unknown", static_cast<std::uint64_t>(audit.unknown));
-        json.kv("invalid_lines", audit.invalid_lines);
-        json.key("by_shard");
-        json.begin_object();
-        for (const auto& [shard_index, count] : audit.by_shard) {
-          json.kv(std::to_string(shard_index), count);
-        }
-        json.end_object();
-        json.end_object();
-      }
-      json.end_array();
-      json.key("latency_ms");
-      json.begin_object();
-      if (!latency_ms.empty()) {
-        json.kv("p50", quantile_sorted(latency_ms, 0.50));
-        json.kv("p90", quantile_sorted(latency_ms, 0.90));
-        json.kv("p99", quantile_sorted(latency_ms, 0.99));
-        json.kv("max", latency_ms.back());
-      }
-      json.key("histogram");
-      latency_hist.write_json(json);
-      json.end_object();
-      json.key("breaker");
-      json.begin_object();
-      json.kv("opens", opens);
-      json.kv("closes", closes);
-      json.end_object();
-      json.key("vote");
-      json.begin_object();
-      json.kv("voted_attempts", health.voted);
-      json.kv("voted_responses", votes.voted_responses);
-      json.kv("voted_wrong", votes.voted_wrong);
-      json.kv("unvoted_wrong", votes.unvoted_wrong);
-      json.kv("divergent_responses", votes.divergent_responses);
-      json.kv("divergences", health.divergences);
-      json.kv("no_majority", health.no_majority);
-      json.kv("quarantine_entered", health.quarantine_entered);
-      json.kv("quarantine_recovered", health.quarantine_recovered);
-      json.kv("quarantined_jobs", health.quarantined_jobs);
-      json.kv("quarantined_responses", votes.quarantined_responses);
-      json.end_object();
-      json.key("router");
-      json.begin_object();
-      json.kv("shards", static_cast<std::uint64_t>(shards));
-      json.kv("submitted", router_stats.submitted);
-      json.kv("redirected", router_stats.redirected);
-      json.kv("rejected_all", router_stats.rejected_all);
-      json.end_object();
-      // Per-shard attribution from the v2 `shard` response label — who
-      // actually served what.
-      json.key("per_shard");
-      json.begin_array();
-      for (std::size_t s = 0; s < shards; ++s) {
-        ShardTally& tally = shard_tallies[s];
-        std::sort(tally.latency_ms.begin(), tally.latency_ms.end());
-        json.begin_object();
-        json.kv("shard", static_cast<std::uint64_t>(s));
-        json.kv("responses", tally.responses);
-        json.key("by_outcome");
-        json.begin_object();
-        for (const auto& [outcome, count] : tally.by_outcome) {
-          json.kv(outcome, count);
-        }
-        json.end_object();
-        json.key("latency_ms");
-        json.begin_object();
-        if (!tally.latency_ms.empty()) {
-          json.kv("p50", quantile_sorted(tally.latency_ms, 0.50));
-          json.kv("p99", quantile_sorted(tally.latency_ms, 0.99));
-          json.kv("max", tally.latency_ms.back());
-        }
-        json.end_object();
-        json.end_object();
-      }
-      json.end_array();
-      json.kv("drained_clean", drained);
-      json.kv("wall_s", load_s);
-      json.kv("throughput_jobs_per_s", throughput);
-      json.end_object();
-      out << "\n";
-      std::cout << "Report written to " << bench_path << "\n";
-    }
-    // Observability dumps — written after the drain, so they are complete
-    // and quiescent (no half-recorded span trees, no moving counters).
-    if (trace) {
-      std::ofstream out(trace_path);
-      if (!out) throw std::runtime_error("cannot open " + trace_path);
-      trace->write_chrome_trace(out, "popbean-stress");
-      std::cout << "Trace written to " << trace_path << " ("
-                << trace->event_count() << " events, "
-                << trace->dropped_count() << " dropped)\n";
-    }
-    if (!prom_path.empty()) {
-      std::ofstream out(prom_path);
-      if (!out) throw std::runtime_error("cannot open " + prom_path);
-      router.write_prometheus(out);
-    }
-    if (slow_log) {
-      std::ofstream out(slow_path);
-      if (!out) throw std::runtime_error("cannot open " + slow_path);
-      JsonWriter json(out);
-      slow_log->write_json(json);
-      out << "\n";
-    }
-    return failed_expectation ? 1 : 0;
+    shape.seed = args.get_uint64("seed", 0x57e55);
+    return run_tcp_client(args, total_jobs, connections, rate, shape);
   } catch (const std::exception& e) {
     std::cerr << "popbean-stress: " << e.what() << "\n";
     return 2;

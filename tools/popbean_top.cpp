@@ -1,13 +1,12 @@
 // popbean-top — fleet dashboard over Prometheus snapshot files.
 //
-// Tails the exposition file that `popbean-serve --prom-out` (or
-// `popbean-stress --prom-out`) rewrites atomically, and renders a
-// per-shard table each interval: admission and outcome counters, queue
-// occupancy, degradation rung, breaker/quarantine state, request rate
-// (counter deltas between frames), and run-latency quantiles recovered
-// from the cumulative histogram buckets — with the exemplar trace id of
-// the slowest bucket, so an outlier on the dashboard points straight at
-// its span tree in the Chrome trace.
+// Tails the exposition file that `popbean-serve --prom-out` rewrites
+// atomically, and renders a per-shard table each interval: admission and
+// outcome counters, queue occupancy, degradation rung, breaker/quarantine
+// state, request rate (counter deltas between frames), and run-latency
+// quantiles recovered from the cumulative histogram buckets — with the
+// exemplar trace id of the slowest bucket, so an outlier on the dashboard
+// points straight at its span tree in the Chrome trace.
 //
 // The file is re-read and re-parsed every frame (obs::parse_prometheus —
 // the same strict parser the CI format check uses), so popbean-top doubles
