@@ -48,6 +48,9 @@ void Poller::modify(int fd, bool want_read, bool want_write) {
   auto it = interest_.find(fd);
   POPBEAN_CHECK_MSG(it != interest_.end(),
                     "Poller::modify: fd not registered");
+  // The server re-applies every connection's interest on each loop pass;
+  // most passes change nothing, and skipping those saves an epoll_ctl.
+  if (it->second.read == want_read && it->second.write == want_write) return;
   it->second = Interest{want_read, want_write};
   if (epoll_fd_ >= 0) {
     epoll_event ev{};

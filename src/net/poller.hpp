@@ -40,7 +40,7 @@ class Poller {
 
   // Registers fd with the given interest; fd must not already be present.
   void add(int fd, bool want_read, bool want_write);
-  // Updates interest of a registered fd.
+  // Updates interest of a registered fd; a no-op when it is unchanged.
   void modify(int fd, bool want_read, bool want_write);
   // Deregisters fd (safe to call with an fd that was already closed —
   // the kernel drops closed fds from epoll sets on its own).

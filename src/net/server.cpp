@@ -1,5 +1,6 @@
 #include "net/server.hpp"
 
+#include <errno.h>
 #include <fcntl.h>
 #include <unistd.h>
 
@@ -12,6 +13,7 @@
 namespace popbean::net {
 
 namespace {
+// Paces the deadline and idle sweep only; responses leave on a wake.
 constexpr std::chrono::milliseconds kTick{25};
 }
 
@@ -86,7 +88,12 @@ bool TcpServer::start(std::string* error) {
 void TcpServer::wake() {
   if (wake_write_ < 0) return;
   const char byte = 'w';
-  (void)netio::write_some(wake_write_, &byte, 1);
+  ssize_t written = 0;
+  do {
+    written = ::write(wake_write_, &byte, 1);
+  } while (written < 0 && errno == EINTR);
+  // EAGAIN: the pipe is full, so the loop is already due to wake.
+  POPBEAN_DCHECK(written == 1 || errno == EAGAIN);
 }
 
 void TcpServer::deliver(const serve::JobResponse& response) {
@@ -130,9 +137,6 @@ bool TcpServer::drain(std::chrono::milliseconds budget) {
 void TcpServer::stop() {
   {
     std::lock_guard lock(mutex_);
-    if (stop_) {
-      // Already stopped (or stopping); just make sure the thread is gone.
-    }
     stop_ = true;
   }
   wake();
@@ -217,7 +221,7 @@ void TcpServer::loop() {
               conn.outbuf.empty()) {
             // Hard hangup with nothing left to move in either direction:
             // close now instead of spinning on a level-triggered error.
-            close_connection(conn, /*flushed=*/true);
+            close_connection(conn);
           }
         }
         sweep(Clock::now());
@@ -317,7 +321,7 @@ void TcpServer::handle_readable(Connection& conn) {
     conn.partial_since.reset();
   }
   if (failed) {
-    close_connection(conn, /*flushed=*/false);
+    close_connection(conn);
     return;
   }
   if (eof && conn.read_open) {
@@ -351,7 +355,7 @@ void TcpServer::shed_slow(Connection& conn, const char* why) {
   // The socket is stalled or its buffer is full — the shed notice cannot
   // be written to it; it goes to the ledger only.
   staged_local_.push_back(std::move(response));
-  close_connection(conn, /*flushed=*/false);
+  close_connection(conn);
 }
 
 void TcpServer::flush(Connection& conn) {
@@ -372,14 +376,13 @@ void TcpServer::flush(Connection& conn) {
     }
     // EPIPE/ECONNRESET: the peer is gone; responses still in flight drain
     // into the tombstone.
-    close_connection(conn, /*flushed=*/false);
+    close_connection(conn);
     return;
   }
   conn.write_blocked_since.reset();
 }
 
-void TcpServer::close_connection(Connection& conn, bool flushed) {
-  (void)flushed;
+void TcpServer::close_connection(Connection& conn) {
   if (conn.fd >= 0) {
     poller_->remove(conn.fd);
     by_fd_.erase(conn.fd);
@@ -429,12 +432,12 @@ void TcpServer::sweep(Clock::time_point now) {
         conn.outbuf.empty() && !conn.framer.has_partial() &&
         now - conn.last_activity > config_.idle_timeout) {
       ++stats_.idle_reaped;
-      close_connection(conn, /*flushed=*/true);
+      close_connection(conn);
       continue;
     }
     if ((!conn.read_open || conn.close_after_flush || draining_) &&
         conn.inflight == 0 && conn.outbuf.empty()) {
-      close_connection(conn, /*flushed=*/true);
+      close_connection(conn);
       continue;
     }
     update_interest(conn);

@@ -37,9 +37,11 @@
 //
 // Threading: the loop thread owns sockets and connection state.
 // deliver() may be called from any thread; it appends under the state
-// mutex and wakes the loop through a self-pipe. submit/on_local callbacks
-// are invoked WITHOUT the state mutex held, so a synchronous rejection
-// that re-enters deliver() cannot deadlock.
+// mutex and wakes the loop with a write(2) of one byte on a self-pipe.
+// The woken loop flushes within that pass; its 25 ms tick only paces the
+// deadline and idle sweep. submit/on_local callbacks are invoked WITHOUT
+// the state mutex held, so a synchronous rejection that re-enters
+// deliver() cannot deadlock.
 #pragma once
 
 #include <chrono>
@@ -178,7 +180,7 @@ class TcpServer {
   void shed_slow(Connection& conn, const char* why);
   void note_torn(Connection& conn);
   // Closes the socket; keeps a tombstone entry while jobs are in flight.
-  void close_connection(Connection& conn, bool flushed);
+  void close_connection(Connection& conn);
   void reap_tombstones();
   void update_interest(Connection& conn);
   void wake();

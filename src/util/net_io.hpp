@@ -57,12 +57,13 @@ bool set_nodelay(int fd);
 // EINTR-retrying read. On a nonblocking fd a dry read reports kWouldBlock.
 IoResult read_some(int fd, char* buffer, std::size_t capacity);
 
-// EINTR-retrying, SIGPIPE-free single send (MSG_NOSIGNAL). A full kernel
-// buffer reports kWouldBlock; a vanished peer reports kError with EPIPE /
-// ECONNRESET.
+// EINTR-retrying, SIGPIPE-free single send (MSG_NOSIGNAL). Sockets only:
+// send() on a pipe fails with ENOTSOCK, so pipes take write(2). A full
+// kernel buffer reports kWouldBlock; a vanished peer reports kError with
+// EPIPE / ECONNRESET.
 IoResult write_some(int fd, const char* data, std::size_t size);
 
-// Writes the whole buffer on a *blocking* fd, retrying partial writes and
+// Writes the whole buffer on a *blocking* socket, retrying partial writes and
 // EINTR. Returns kOk with bytes == data.size() only when everything was
 // sent; on error, `bytes` is how much made it out before the failure (the
 // remote-spill client uses this to tell "retryable: the frame never

@@ -101,6 +101,32 @@ TEST_P(PollerTest, ModifyChangesInterest) {
   ASSERT_NE(find(events, read_end()), nullptr);
 }
 
+TEST_P(PollerTest, ReapplyingTheSameInterestKeepsReporting) {
+  Poller poller(GetParam());
+  poller.add(read_end(), true, false);
+  poller.modify(read_end(), true, false);  // unchanged: a no-op
+  ASSERT_EQ(::write(write_end(), "x", 1), 1);
+  const auto events = poller.wait(1000ms);
+  const Poller::Event* e = find(events, read_end());
+  ASSERT_NE(e, nullptr);
+  EXPECT_TRUE(e->readable);
+  // Turning interest off silences the pending byte, however often it is
+  // re-applied...
+  poller.modify(read_end(), false, false);
+  poller.modify(read_end(), false, false);
+  EXPECT_TRUE(poller.wait(20ms).empty());
+  // ...and turning it back on reports the byte again.
+  poller.modify(read_end(), true, false);
+  poller.modify(read_end(), true, false);
+  ASSERT_NE(find(poller.wait(1000ms), read_end()), nullptr);
+  // Write interest goes through the same unchanged-interest check.
+  poller.add(write_end(), false, false);
+  poller.modify(write_end(), false, false);
+  EXPECT_EQ(find(poller.wait(20ms), write_end()), nullptr);
+  poller.modify(write_end(), false, true);
+  ASSERT_NE(find(poller.wait(1000ms), write_end()), nullptr);
+}
+
 TEST_P(PollerTest, RemoveStopsReporting) {
   Poller poller(GetParam());
   poller.add(read_end(), true, false);

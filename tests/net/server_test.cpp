@@ -92,10 +92,18 @@ class Harness {
     return locals_;
   }
 
-  std::vector<serve::JobSpec> take_held() {
-    std::lock_guard lock(mutex_);
+  // Jobs the submit sink has held since the last call, waiting up to 2 s
+  // for the first one (the loop submits outside its lock, asynchronously).
+  std::vector<serve::JobSpec> await_held() {
+    const auto deadline = std::chrono::steady_clock::now() + 2s;
     std::vector<serve::JobSpec> out;
-    out.swap(held_);
+    while (out.empty() && std::chrono::steady_clock::now() < deadline) {
+      {
+        std::lock_guard lock(mutex_);
+        out.swap(held_);
+      }
+      if (out.empty()) std::this_thread::sleep_for(1ms);
+    }
     return out;
   }
 
@@ -216,6 +224,50 @@ TEST_P(TcpServerTest, RequestGetsExactlyOneResponse) {
   EXPECT_EQ(stats.frames, 1u);
   EXPECT_EQ(stats.responses_delivered, 1u);
   EXPECT_EQ(stats.invalid_frames, 0u);
+}
+
+// A response delivered from inside submit (on the loop thread) wakes the
+// loop at once. Without the wake each round trip waits for the 25 ms tick,
+// and 20 of them take at least 500 ms.
+TEST_P(TcpServerTest, SynchronousRoundTripsDoNotWaitForTheTick) {
+  Harness harness(config());
+  Client client(harness.server().port());
+  ASSERT_TRUE(client.ok());
+
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20; ++i) {
+    const std::string id = "sync-" + std::to_string(i);
+    ASSERT_TRUE(client.send(request_line(id)));
+    const auto response = client.read_response();
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->id, id);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 250ms);
+}
+
+// deliver() from another thread, as the router's workers call it, gets the
+// response onto the socket without waiting for the tick.
+TEST_P(TcpServerTest, DeliverFromAnotherThreadWakesTheLoop) {
+  Harness harness(config(), /*hold_jobs=*/true);
+  Client client(harness.server().port());
+  ASSERT_TRUE(client.ok());
+
+  std::chrono::steady_clock::duration waited{0};
+  for (int i = 0; i < 10; ++i) {
+    const std::string id = "held-" + std::to_string(i);
+    ASSERT_TRUE(client.send(request_line(id)));
+    const std::vector<serve::JobSpec> held = harness.await_held();
+    ASSERT_EQ(held.size(), 1u);
+
+    const auto delivered = std::chrono::steady_clock::now();
+    harness.server().deliver(done_response(held[0]));
+    const auto response = client.read_response();
+    waited += std::chrono::steady_clock::now() - delivered;
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->id, id);
+  }
+  // Ten deliveries that each waited for the tick would take ~200 ms.
+  EXPECT_LT(waited, 100ms);
 }
 
 TEST_P(TcpServerTest, FramesSplitAtArbitraryBoundariesReassemble) {
@@ -411,12 +463,7 @@ TEST_P(TcpServerTest, SlowClientShedToTheLedgerOnly) {
   ASSERT_TRUE(client.ok());
 
   ASSERT_TRUE(client.send(request_line("flood")));
-  std::vector<serve::JobSpec> held;
-  const auto deadline = std::chrono::steady_clock::now() + 2s;
-  while (held.empty() && std::chrono::steady_clock::now() < deadline) {
-    held = harness.take_held();
-    std::this_thread::sleep_for(5ms);
-  }
+  const std::vector<serve::JobSpec> held = harness.await_held();
   ASSERT_EQ(held.size(), 1u);
 
   // A response bigger than the write-buffer cap, delivered to a client
@@ -447,12 +494,7 @@ TEST_P(TcpServerTest, ResponsesForDeadConnectionsCountDropped) {
   ASSERT_TRUE(client.ok());
 
   ASSERT_TRUE(client.send(request_line("orphan")));
-  std::vector<serve::JobSpec> held;
-  const auto deadline = std::chrono::steady_clock::now() + 2s;
-  while (held.empty() && std::chrono::steady_clock::now() < deadline) {
-    held = harness.take_held();
-    std::this_thread::sleep_for(5ms);
-  }
+  const std::vector<serve::JobSpec> held = harness.await_held();
   ASSERT_EQ(held.size(), 1u);
   client.reset();  // dies abruptly with one job in flight → tombstone
 
@@ -477,12 +519,7 @@ TEST_P(TcpServerTest, DrainStopsAcceptingFlushesInflightThenCloses) {
   ASSERT_TRUE(client.ok());
 
   ASSERT_TRUE(client.send(request_line("in-flight")));
-  std::vector<serve::JobSpec> held;
-  const auto deadline = std::chrono::steady_clock::now() + 2s;
-  while (held.empty() && std::chrono::steady_clock::now() < deadline) {
-    held = harness.take_held();
-    std::this_thread::sleep_for(5ms);
-  }
+  const std::vector<serve::JobSpec> held = harness.await_held();
   ASSERT_EQ(held.size(), 1u);
 
   harness.server().begin_drain();
