@@ -7,11 +7,17 @@
 
 #include "core/avc.hpp"
 #include "core/avc_params.hpp"
+#include "faults/fault_model.hpp"
+#include "faults/invariant_monitor.hpp"
+#include "faults/perturbed_engine.hpp"
+#include "faults/schedule_model.hpp"
 #include "harness/experiment.hpp"
+#include "population/count_engine.hpp"
 #include "population/run.hpp"
 #include "protocols/four_state.hpp"
 #include "protocols/three_state.hpp"
 #include "util/rng.hpp"
+#include "verify/builtin_invariants.hpp"
 
 namespace popbean {
 namespace {
@@ -90,6 +96,83 @@ TEST(DeterminismTest, CountEnginePinnedGoldens) {
   const avc::AvcParams nstate = avc::n_state(1001);
   expect_pinned(avc::AvcProtocol(nstate.m, nstate.d), {1001, 1, Opinion::A},
                 EngineKind::kCount, 2019, {23728, 1});
+}
+
+// Pinned perturbed runs: a counts-mode PerturbedEngine over a CountEngine
+// base, as the fault sweep, serve's corrupt replica and the replay recorder
+// build it. Pins the whole observable outcome, so a change to the adapter's
+// draws, its fault bookkeeping or its output tally fails here.
+struct PinnedPerturbedRun {
+  std::uint64_t interactions;
+  RunStatus status;
+  Output decided;
+  std::uint64_t violation_step;  // 0 when Φ never left its initial value
+  faults::FaultCounters counters;
+  Counts final_counts;
+};
+
+template <ProtocolLike P, faults::FaultModelLike F,
+          faults::ScheduleModelLike S>
+void expect_perturbed_pinned(const P& protocol,
+                             const verify::LinearInvariant& invariant,
+                             const Counts& initial, F fault_model,
+                             S schedule_model, std::uint64_t seed,
+                             std::uint64_t max_interactions,
+                             const PinnedPerturbedRun& pinned) {
+  Xoshiro256ss rng(seed, 0);
+  auto engine = faults::make_perturbed(CountEngine<P>(protocol, initial),
+                                       std::move(fault_model),
+                                       std::move(schedule_model), rng);
+  ASSERT_FALSE(engine.passthrough());
+  faults::InvariantMonitor monitor(invariant, initial);
+  engine.attach_monitor(&monitor);
+  const RunResult run = run_to_convergence(engine, rng, max_interactions);
+  EXPECT_EQ(run.interactions, pinned.interactions);
+  EXPECT_EQ(run.status, pinned.status);
+  EXPECT_EQ(run.decided, pinned.decided);
+  EXPECT_EQ(monitor.first_violation_step().value_or(0), pinned.violation_step);
+  const faults::FaultCounters& c = engine.fault_counters();
+  EXPECT_EQ(c.crashes, pinned.counters.crashes);
+  EXPECT_EQ(c.recoveries, pinned.counters.recoveries);
+  EXPECT_EQ(c.corruptions, pinned.counters.corruptions);
+  EXPECT_EQ(c.sign_flips, pinned.counters.sign_flips);
+  EXPECT_EQ(c.stuck, pinned.counters.stuck);
+  EXPECT_EQ(c.schedule_delays, pinned.counters.schedule_delays);
+  EXPECT_EQ(c.injected_interactions, pinned.counters.injected_interactions);
+  EXPECT_EQ(engine.counts(), pinned.final_counts);
+}
+
+TEST(DeterminismTest, PerturbedRunPinnedGoldens) {
+  const avc::AvcProtocol avc(3, 1);
+  Counts avc_initial(avc.num_states(), 0);
+  avc_initial[avc.initial_state(Opinion::A)] = 110;
+  avc_initial[avc.initial_state(Opinion::B)] = 91;
+  // The serve chaos stack: transient corruption under the uniform schedule.
+  expect_perturbed_pinned(avc, verify::avc_sum_invariant(avc), avc_initial,
+                          faults::TransientCorruption(0.002),
+                          faults::UniformSchedule{}, 2020, 10'000'000,
+                          {6318, RunStatus::kConverged, 1, 314,
+                           {0, 0, 13, 0, 0, 0, 6318},
+                           {0, 0, 0, 160, 34, 7}});
+
+  const FourStateProtocol four;
+  expect_perturbed_pinned(four, verify::four_state_difference_invariant(),
+                          Counts{60, 41, 0, 0},
+                          faults::CrashRecovery(0.01, 0.1),
+                          faults::UniformSchedule{}, 2021, 10'000'000,
+                          {2012, RunStatus::kConverged, 1, 0,
+                           {28, 28, 0, 0, 0, 0, 2012},
+                           {19, 0, 82, 0}});
+
+  avc_initial.assign(avc.num_states(), 0);
+  avc_initial[avc.initial_state(Opinion::A)] = 56;
+  avc_initial[avc.initial_state(Opinion::B)] = 45;
+  expect_perturbed_pinned(avc, verify::avc_sum_invariant(avc), avc_initial,
+                          faults::StuckAt(0.05), faults::ZipfSchedule(1.0),
+                          2022, 2'000'000,
+                          {2'000'000, RunStatus::kStepLimit, 0, 72,
+                           {0, 0, 0, 0, 5, 0, 2'000'000},
+                           {3, 0, 79, 17, 0, 2}});
 }
 
 TEST(DeterminismTest, StreamsAreIndependentButStable) {
