@@ -16,7 +16,8 @@
 #      --shard-remote sibling process — driven by popbean-stress with 10%
 #      connection chaos (abrupt closes, half-closes, garbage,
 #      slow writers, reconnect storms). Mid-run the remote shard is
-#      SIGKILLed and then revived on the same port: the front's link
+#      SIGKILLed, held down until the front's Prometheus dump shows its
+#      link breaker open (10 s at most), and revived on the same port: the
 #      breaker must open during the outage and close after the revival,
 #      with spill admissions on both sides of it. The front is then
 #      SIGTERMed under load — the drain path, not a clean EOF — and every
@@ -155,7 +156,25 @@ sleep 1.0
 echo "--- SIGKILL remote shard (pid $REMOTE1_PID) mid-run ---"
 kill -KILL "$REMOTE1_PID"
 wait "$REMOTE1_PID" 2>/dev/null || true
-sleep 0.8
+# Hold the remote down until the front's link breaker has opened, for at
+# most 10 s. Each SIGUSR1 makes the front dump front.prom, its trace and
+# its slow log (the slow log last); the dumps are deleted again afterwards,
+# so the final-flush check below still proves the drain path wrote them.
+front_dumps=("$WORKDIR/front.prom" "$WORKDIR/front.trace.json"
+             "$WORKDIR/front.slow.json")
+hold_until=$((SECONDS + 10))
+while (( SECONDS < hold_until )); do
+  rm -f "${front_dumps[@]}"
+  kill -USR1 "$FRONT_PID"
+  while [[ ! -f "$WORKDIR/front.slow.json" ]] && (( SECONDS < hold_until )); do
+    sleep 0.02
+  done
+  if awk '/^popbean_remote_breaker_opens_total\{/ && /remote="1"/ { opens += $NF }
+          END { exit !(opens >= 1) }' "$WORKDIR/front.prom" 2>/dev/null; then
+    break
+  fi
+done
+rm -f "${front_dumps[@]}"
 echo "--- revive remote shard on port $REMOTE_PORT ---"
 start_remote 2 --listen=127.0.0.1:"$REMOTE_PORT"
 REMOTE2_PID=$SERVE_PID

@@ -2,17 +2,17 @@
 // perturb, decoupled from how the perturbation is imprinted on an engine.
 //
 // A fault model never touches an engine. It observes a FaultView — the full
-// configuration plus the crashed/stubborn bookkeeping the PerturbedEngine
-// maintains — and emits FaultEvents; the adapter validates and applies them.
+// configuration plus the crashed/stubborn bookkeeping of the run's
+// PerturbedConfiguration — and emits FaultEvents, which that configuration
+// validates and applies.
 // This keeps the models engine-agnostic (the same CrashRecovery instance
 // drives agent-, count- and skip-based runs) and keeps all randomness on the
 // fault stream split off the perturbation root, so a model whose rates are
 // all zero provably cannot disturb the base trajectory.
 //
-// Rate semantics: each `*_rate` is a per-interaction firing probability (for
-// the skip engine, per *productive* interaction — see DESIGN.md §6). At most
-// one event per model per interaction keeps the dynamics comparable across
-// engines and rates.
+// Rate semantics: each `*_rate` is a per-interaction firing probability
+// (DESIGN.md §6). At most one event per model per interaction keeps the
+// dynamics comparable across rates.
 #pragma once
 
 #include <cmath>

@@ -8,9 +8,10 @@
 // paper-level robustness metric the fault sweep and the resilience bench
 // report.
 //
-// The monitor is incremental: the PerturbedEngine feeds it every single-agent
-// state move (protocol-driven, withheld-by-stubbornness, or fault-injected)
-// at O(1) each, and calls check() at interaction granularity — Φ is
+// The monitor is incremental: a PerturbedConfiguration feeds it every
+// single-agent state move (protocol-driven or fault-injected) at O(1) each,
+// and its driver (the PerturbedEngine, or replay) calls check() at
+// interaction granularity — Φ is
 // legitimately off-balance between the two moves of one pairwise transition,
 // so violations are only assessed at interaction boundaries.
 #pragma once

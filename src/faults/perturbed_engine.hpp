@@ -11,26 +11,23 @@
 //     the unperturbed one (the zero-rate identity the tests pin down).
 //
 //   * Counts-level stepping — any active fault model or non-delegating
-//     schedule. The adapter samples interactions itself from the
-//     configuration of interacting agents and imprints the resulting moves
-//     onto the base engine through its force_move hook, which keeps the base
-//     engine's output bookkeeping (all_same_output / dominant_output)
-//     authoritative while the adapter owns the dynamics.
+//     schedule. The adapter only samples: fault events from the fault model,
+//     the interacting pair from the schedule, stubbornness on the fault
+//     stream. It feeds each draw to a PerturbedConfiguration
+//     (perturbed_configuration.hpp), which owns the run's configuration and
+//     output tally and answers all_same_output / dominant_output / counts.
+//     The base engine is left as constructed.
 //
 // Randomness is strictly stream-separated (util/rng.hpp split): the caller's
 // rng is the engine stream, faults draw from split(kFaultStream), the
 // scheduler from split(kScheduleStream). Injecting a fault can therefore
 // never perturb scheduling decisions, and vice versa.
 //
-// Fault semantics at the counts level (DESIGN.md §6):
-//   * crashed (frozen) agents keep their state and output but leave the
-//     interaction pool — they still count toward convergence, which is
-//     exactly how crashes threaten liveness;
-//   * stubborn (stuck) agents stay in the pool and let partners update per
-//     δ, but silently withhold their own update — breaking δ's pairwise
-//     conservation laws, which the InvariantMonitor observes;
-//   * if fewer than two interacting agents remain, step() stops advancing
-//     the interaction counter and run_to_convergence reports kAbsorbing.
+// Fault semantics at the counts level are PerturbedConfiguration's
+// (DESIGN.md §6). Crashed agents still count toward convergence, which is
+// exactly how crashes threaten liveness; if fewer than two interacting
+// agents remain, step() stops advancing the interaction counter and
+// run_to_convergence reports kAbsorbing.
 #pragma once
 
 #include <array>
@@ -42,6 +39,7 @@
 #include "faults/fault_log.hpp"
 #include "faults/fault_model.hpp"
 #include "faults/invariant_monitor.hpp"
+#include "faults/perturbed_configuration.hpp"
 #include "faults/schedule_model.hpp"
 #include "obs/probe.hpp"
 #include "population/configuration.hpp"
@@ -67,14 +65,12 @@ class StepObserver {
 };
 
 // An engine the adapter can wrap: the EngineLike surface plus read access to
-// the configuration/protocol and the external-perturbation hook.
+// the configuration and protocol it was built with.
 template <typename E>
-concept PerturbableEngineLike =
-    EngineLike<E> && requires(E engine, State q, Xoshiro256ss& rng) {
-      { engine.protocol().num_states() } -> std::convertible_to<std::size_t>;
-      { engine.counts() } -> std::convertible_to<Counts>;
-      engine.force_move(q, q, rng);
-    };
+concept PerturbableEngineLike = EngineLike<E> && requires(E engine) {
+  { engine.protocol().num_states() } -> std::convertible_to<std::size_t>;
+  { engine.counts() } -> std::convertible_to<Counts>;
+};
 
 template <PerturbableEngineLike E, FaultModelLike F, ScheduleModelLike S>
 class PerturbedEngine {
@@ -93,10 +89,7 @@ class PerturbedEngine {
         num_agents_(base_.num_agents()),
         passthrough_(S::kDelegates && !faults_.active()) {
     if (passthrough_) return;
-    counts_ = base_.counts();
-    frozen_.assign(counts_.size(), 0);
-    stuck_.assign(counts_.size(), 0);
-    active_ = counts_;
+    config_ = PerturbedConfiguration(base_.protocol(), base_.counts());
     faults_.on_init(view(), fault_rng_, events_);
     apply_events();
   }
@@ -110,10 +103,15 @@ class PerturbedEngine {
   double parallel_time() const noexcept {
     return static_cast<double>(steps()) / static_cast<double>(num_agents_);
   }
-  bool all_same_output() const noexcept { return base_.all_same_output(); }
-  Output dominant_output() const noexcept { return base_.dominant_output(); }
+  bool all_same_output() const noexcept {
+    return passthrough_ ? base_.all_same_output() : config_.all_same_output();
+  }
+  Output dominant_output() const noexcept {
+    return passthrough_ ? base_.dominant_output() : config_.dominant_output();
+  }
   std::uint64_t output_agents(Output output) const noexcept {
-    return base_.output_agents(output);
+    return passthrough_ ? base_.output_agents(output)
+                        : config_.output_agents(output);
   }
 
   void step(Xoshiro256ss& rng) {
@@ -124,24 +122,25 @@ class PerturbedEngine {
     events_.clear();
     faults_.before_step(view(), fault_rng_, events_);
     if (!events_.empty()) apply_events();
-    if (interacting() < 2) return;  // halted: steps stop advancing → absorbing
+    if (config_.interacting() < 2) return;  // halted: run ends kAbsorbing
 
-    const auto [a, b] = schedule_.select(base_.protocol(), active_,
-                                         interacting(), sched_rng_, counters_);
+    const auto [a, b] =
+        schedule_.select(protocol(), config_.active(), config_.interacting(),
+                         sched_rng_, counters_);
     const bool a_stuck = roll_stuck(a, 0, 0);
     const bool b_stuck =
         roll_stuck(b, a == b ? 1 : 0, (a == b && a_stuck) ? 1 : 0);
-    const Transition t = base_.protocol().apply(a, b);
+    const PerturbedConfiguration::Rejection rejected =
+        config_.interact(protocol(), a, b, a_stuck, b_stuck);
+    POPBEAN_CHECK_MSG(rejected == nullptr, rejected);
     if (observer_ != nullptr) observer_->on_interaction(a, b, a_stuck, b_stuck);
-    if (!a_stuck) imprint(a, t.initiator, rng);
-    if (!b_stuck) imprint(b, t.responder, rng);
     if (monitor_ != nullptr) monitor_->check(steps_);
     // In counts mode the adapter owns the dynamics, so the scheduled pair is
     // classified here (passthrough delegates to the base, which records).
     POPBEAN_OBS_HOOK(if (probe_ != nullptr) {
-      probe_->record(is_null(t, a, b)
+      probe_->record(is_null(protocol().apply(a, b), a, b)
                          ? obs::ReactionKind::kNull
-                         : obs::classify_interaction(base_.protocol(), a, b));
+                         : obs::classify_interaction(protocol(), a, b));
     })
     ++counters_.injected_interactions;
     ++steps_;
@@ -149,20 +148,24 @@ class PerturbedEngine {
 
   // --- perturbation surface -------------------------------------------------
 
+  // The wrapped engine; counts mode leaves it as constructed.
   const E& base() const noexcept { return base_; }
   const auto& protocol() const noexcept { return base_.protocol(); }
-  Counts counts() const { return passthrough_ ? Counts(base_.counts()) : counts_; }
+  Counts counts() const {
+    return passthrough_ ? Counts(base_.counts()) : config_.counts();
+  }
 
   bool passthrough() const noexcept { return passthrough_; }
   const FaultCounters& fault_counters() const noexcept { return counters_; }
   const FaultLog& fault_log() const noexcept { return log_; }
-  std::uint64_t frozen_agents() const noexcept { return frozen_count_; }
-  std::uint64_t stuck_agents() const noexcept { return stuck_count_; }
+  std::uint64_t frozen_agents() const noexcept { return view().frozen_count; }
+  std::uint64_t stuck_agents() const noexcept { return view().stuck_count; }
 
   // Attach before the first step(); the monitor's Φ baseline must come from
   // the same initial configuration the adapter started from.
   void attach_monitor(InvariantMonitor* monitor) noexcept {
     monitor_ = monitor;
+    config_.attach_monitor(monitor);
   }
 
   // Attaches an interaction probe (src/obs). In passthrough mode the probe
@@ -190,12 +193,13 @@ class PerturbedEngine {
   }
 
   // --- snapshot hooks (src/recovery) ---------------------------------------
-  // Serializes the base engine's state, both split rng streams, the
-  // counts-level mirrors, the fault counters, and any mutable model state
-  // (schedule models like EpidemicRounds carry per-run state). The bounded
-  // FaultLog is *not* part of a snapshot — it is reporting state, not
-  // dynamics; use the record/replay event log for full fault history. An
-  // attached monitor is external and must be restored by the caller.
+  // Serializes the base engine's state (in counts mode, the engine as
+  // constructed), both split rng streams, the counts-level configuration,
+  // the fault counters, and any mutable model state (schedule models like
+  // EpidemicRounds carry per-run state). The bounded FaultLog is *not* part
+  // of a snapshot — it is reporting state, not dynamics; use the
+  // record/replay event log for full fault history. An attached monitor is
+  // external and must be restored by the caller.
   static constexpr std::string_view kSnapshotKind = "engine/perturbed";
 
   void save_state(BinaryWriter& out) const {
@@ -204,12 +208,7 @@ class PerturbedEngine {
     for (const std::uint64_t w : fault_rng_.state_words()) out.u64(w);
     for (const std::uint64_t w : sched_rng_.state_words()) out.u64(w);
     out.u64(steps_);
-    out.u64(frozen_count_);
-    out.u64(stuck_count_);
-    out.vec_u64(counts_);
-    out.vec_u64(frozen_);
-    out.vec_u64(stuck_);
-    out.vec_u64(active_);
+    config_.save(out);
     out.u64(counters_.crashes);
     out.u64(counters_.recoveries);
     out.u64(counters_.corruptions);
@@ -226,7 +225,11 @@ class PerturbedEngine {
   }
 
   void load_state(BinaryReader& in) {
-    base_.load_state(in);
+    if (passthrough_) {
+      base_.load_state(in);
+    } else {
+      E(base_).load_state(in);  // checked, then dropped: base_ stays as built
+    }
     const std::uint8_t passthrough = in.u8();
     POPBEAN_CHECK_MSG((passthrough != 0) == passthrough_,
                       "snapshot operating mode does not match this adapter "
@@ -237,26 +240,7 @@ class PerturbedEngine {
     for (std::uint64_t& w : words) w = in.u64();
     sched_rng_.set_state_words(words);
     steps_ = in.u64();
-    frozen_count_ = in.u64();
-    stuck_count_ = in.u64();
-    counts_ = in.vec_u64();
-    frozen_ = in.vec_u64();
-    stuck_ = in.vec_u64();
-    active_ = in.vec_u64();
-    if (!passthrough_) {
-      const std::size_t s = base_.protocol().num_states();
-      POPBEAN_CHECK_MSG(counts_.size() == s && frozen_.size() == s &&
-                            stuck_.size() == s && active_.size() == s,
-                        "snapshot configuration arity does not match the "
-                        "protocol");
-      POPBEAN_CHECK_MSG(population_size(counts_) == num_agents_,
-                        "snapshot population size does not match this engine");
-      for (State q = 0; q < s; ++q) {
-        POPBEAN_CHECK_MSG(frozen_[q] + stuck_[q] <= counts_[q] &&
-                              active_[q] == counts_[q] - frozen_[q],
-                          "snapshot crash/stubborn bookkeeping inconsistent");
-      }
-    }
+    config_.load(in);
     counters_.crashes = in.u64();
     counters_.recoveries = in.u64();
     counters_.corruptions = in.u64();
@@ -272,91 +256,44 @@ class PerturbedEngine {
     }
   }
 
-  FaultView view() const noexcept {
-    return {counts_, frozen_, stuck_, num_agents_, frozen_count_,
-            stuck_count_};
-  }
+  FaultView view() const noexcept { return config_.view(); }
 
  private:
-  std::uint64_t interacting() const noexcept {
-    return num_agents_ - frozen_count_;
-  }
-
   // True with probability (stuck among eligible) / (pool of eligible) —
   // whether the agent filling one interaction slot of state q is stubborn.
   // The exclusion parameters remove the already-seated initiator when both
   // slots share a state.
   bool roll_stuck(State q, std::uint64_t pool_excl, std::uint64_t stuck_excl) {
-    const std::uint64_t stuck = stuck_[q] - stuck_excl;
+    const std::uint64_t stuck = config_.stuck()[q] - stuck_excl;
     if (stuck == 0) return false;
-    const std::uint64_t pool = active_[q] - pool_excl;
+    const std::uint64_t pool = config_.active()[q] - pool_excl;
     POPBEAN_DCHECK(pool >= stuck);
     return fault_rng_.below(pool) < stuck;
   }
 
-  // Moves one agent of state `from` to `to`: mirrors into the adapter's
-  // configuration and the base engine, and feeds the monitor.
-  void imprint(State from, State to, Xoshiro256ss& rng) {
-    if (from == to) return;
-    base_.force_move(from, to, rng);
-    --counts_[from];
-    ++counts_[to];
-    --active_[from];
-    ++active_[to];
-    if (monitor_ != nullptr) monitor_->apply_move(from, to);
-  }
-
-  // Validates and applies the pending events_ batch, stamping each with the
-  // current interaction count and tallying it.
+  // Applies the pending events_ batch, stamping each with the current
+  // interaction count and tallying it.
   void apply_events() {
-    const std::size_t s = counts_.size();
     for (FaultEvent& event : events_) {
-      POPBEAN_CHECK(event.from < s && event.to < s);
       event.at_step = steps_;
-      switch (event.kind) {
-        case FaultKind::kCrash:
-          POPBEAN_CHECK_MSG(view().mobile(event.from) > 0,
-                            "crash event targets a state with no mobile agent");
-          ++frozen_[event.from];
-          ++frozen_count_;
-          --active_[event.from];
-          ++counters_.crashes;
-          break;
-        case FaultKind::kRecover:
-          POPBEAN_CHECK_MSG(frozen_[event.from] > 0,
-                            "recovery event targets a state with no crashed "
-                            "agent");
-          --frozen_[event.from];
-          --frozen_count_;
-          ++active_[event.from];
-          ++counters_.recoveries;
-          break;
-        case FaultKind::kCorrupt:
-          POPBEAN_CHECK_MSG(view().mobile(event.from) > 0,
-                            "corrupt event targets a state with no mobile "
-                            "agent");
-          imprint(event.from, event.to, fault_rng_);
-          ++counters_.corruptions;
-          break;
-        case FaultKind::kSignFlip:
-          POPBEAN_CHECK_MSG(view().mobile(event.from) > 0,
-                            "sign-flip event targets a state with no mobile "
-                            "agent");
-          imprint(event.from, event.to, fault_rng_);
-          ++counters_.sign_flips;
-          break;
-        case FaultKind::kStick:
-          POPBEAN_CHECK_MSG(view().mobile(event.from) > 0,
-                            "stick event targets a state with no mobile agent");
-          ++stuck_[event.from];
-          ++stuck_count_;
-          ++counters_.stuck;
-          break;
-      }
+      const PerturbedConfiguration::Rejection rejected = config_.apply(event);
+      POPBEAN_CHECK_MSG(rejected == nullptr, rejected);
+      ++tally(event.kind);
       log_.record(event);
       if (observer_ != nullptr) observer_->on_fault(event);
     }
     if (monitor_ != nullptr && !events_.empty()) monitor_->check(steps_);
+  }
+
+  std::uint64_t& tally(FaultKind kind) noexcept {
+    switch (kind) {
+      case FaultKind::kCrash: return counters_.crashes;
+      case FaultKind::kRecover: return counters_.recoveries;
+      case FaultKind::kCorrupt: return counters_.corruptions;
+      case FaultKind::kSignFlip: return counters_.sign_flips;
+      case FaultKind::kStick: return counters_.stuck;
+    }
+    return counters_.stuck;  // unreachable
   }
 
   E base_;
@@ -367,14 +304,7 @@ class PerturbedEngine {
   std::uint64_t num_agents_;
   bool passthrough_;
 
-  // Counts-level mirrors (manual mode only). active_ = counts_ − frozen_;
-  // stuck_ agents are active (they interact) but never move.
-  Counts counts_;
-  Counts frozen_;
-  Counts stuck_;
-  Counts active_;
-  std::uint64_t frozen_count_ = 0;
-  std::uint64_t stuck_count_ = 0;
+  PerturbedConfiguration config_;  // counts mode only
   std::uint64_t steps_ = 0;
 
   std::vector<FaultEvent> events_;

@@ -72,29 +72,6 @@ class AgentEngine : public EngineCore<P> {
   // out entirely when POPBEAN_OBS_ENABLED=0.
   void attach_probe(obs::EngineProbe* probe) noexcept { probe_ = probe; }
 
-  // External-perturbation hook (src/faults/): moves one uniformly random
-  // agent of state `from` to state `to`, outside the protocol's transition
-  // function. Does not count as an interaction. O(n) — fault injection is
-  // rare relative to stepping.
-  void force_move(State from, State to, Xoshiro256ss& rng) {
-    POPBEAN_CHECK(from < protocol_.num_states());
-    POPBEAN_CHECK(to < protocol_.num_states());
-    if (from == to) return;
-    std::uint64_t holders = 0;
-    for (State q : agents_) holders += (q == from) ? 1 : 0;
-    POPBEAN_CHECK_MSG(holders > 0, "force_move: no agent holds `from` state");
-    std::uint64_t target = rng.below(holders);
-    for (State& q : agents_) {
-      if (q != from) continue;
-      if (target == 0) {
-        q = to;
-        move(from, to);
-        return;
-      }
-      --target;
-    }
-  }
-
   // --- snapshot hooks (src/recovery) ---------------------------------------
   // Serializes the mutable run state (agent array, step count, output
   // bookkeeping). The protocol and graph are construction inputs, not saved:

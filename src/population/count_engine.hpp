@@ -39,21 +39,6 @@ class CountEngine : public EngineCore<P> {
   // out entirely when POPBEAN_OBS_ENABLED=0.
   void attach_probe(obs::EngineProbe* probe) noexcept { probe_ = probe; }
 
-  // External-perturbation hook (src/faults/): moves one agent of state
-  // `from` to state `to`, outside the protocol's transition function. Agents
-  // of equal state are exchangeable here, so no sampling is needed; the rng
-  // parameter keeps the signature uniform across engines.
-  void force_move(State from, State to, Xoshiro256ss&) {
-    POPBEAN_CHECK(from < protocol_.num_states());
-    POPBEAN_CHECK(to < protocol_.num_states());
-    if (from == to) return;
-    POPBEAN_CHECK_MSG(counts()[from] > 0,
-                      "force_move: no agent holds `from` state");
-    tree_.add(from, -1);
-    tree_.add(to, +1);
-    move(from, to);
-  }
-
   // --- snapshot hooks (src/recovery) ---------------------------------------
   // Serializes counts and step count; the tree's upper levels and the output
   // tallies are derived state, rebuilt (and cross-checked) on load.

@@ -144,22 +144,6 @@ class SkipEngine : public EngineCore<P> {
   // configuration (0 ⇔ absorbing).
   std::uint64_t reactive_weight() const noexcept { return weight_; }
 
-  // External-perturbation hook (src/faults/): moves one agent of state
-  // `from` to state `to`, outside the protocol's transition function. An
-  // injected state can re-enable reactions in an absorbed configuration, so
-  // the absorbing flag is cleared and re-derived on the next step().
-  void force_move(State from, State to, Xoshiro256ss&) {
-    POPBEAN_CHECK(from < num_states_);
-    POPBEAN_CHECK(to < num_states_);
-    if (from == to) return;
-    POPBEAN_CHECK_MSG(counts_[from] > 0,
-                      "force_move: no agent holds `from` state");
-    adjust(from, -1);
-    adjust(to, +1);
-    move(from, to);
-    absorbing_ = false;
-  }
-
   // --- snapshot hooks (src/recovery) ---------------------------------------
   // Serializes counts, step count, and the absorbing flag; the δ table,
   // weights and output tallies are derived state, rebuilt on load.

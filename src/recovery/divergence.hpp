@@ -5,9 +5,10 @@
 //
 // This works because the service's corrupt replica path and
 // record_perturbed_run construct the identical stack — Xoshiro256ss(seed,
-// stream), CountEngine over the same initial counts, TransientCorruption +
-// UniformSchedule consuming the same rng — and the interruptible runner is
-// bit-identical to run_to_convergence when never interrupted. The capture
+// stream) and a counts-mode PerturbedEngine over the same initial counts,
+// with TransientCorruption + UniformSchedule drawing from streams split off
+// that rng — and the interruptible runner is bit-identical to
+// run_to_convergence when never interrupted. The capture
 // is a *re-execution* with a recorder attached, done on the cold divergence
 // path; it costs one extra run of the minority replica.
 //

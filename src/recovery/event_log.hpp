@@ -66,17 +66,19 @@ struct ReplayEvent {
   friend bool operator==(const ReplayEvent&, const ReplayEvent&) = default;
 };
 
-inline ReplayEventKind replay_kind(faults::FaultKind kind) {
-  switch (kind) {
-    case faults::FaultKind::kCrash: return ReplayEventKind::kCrash;
-    case faults::FaultKind::kRecover: return ReplayEventKind::kRecover;
-    case faults::FaultKind::kCorrupt: return ReplayEventKind::kCorrupt;
-    case faults::FaultKind::kSignFlip: return ReplayEventKind::kSignFlip;
-    case faults::FaultKind::kStick: return ReplayEventKind::kStick;
-  }
-  POPBEAN_CHECK_MSG(false, "unreachable fault kind");
-  return ReplayEventKind::kCorrupt;
+// ReplayEventKind is FaultKind shifted up by one, behind kInteraction.
+constexpr ReplayEventKind replay_kind(faults::FaultKind kind) {
+  return static_cast<ReplayEventKind>(static_cast<std::uint8_t>(kind) + 1);
 }
+
+constexpr faults::FaultKind fault_kind(ReplayEventKind kind) {
+  POPBEAN_DCHECK(kind != ReplayEventKind::kInteraction);
+  return static_cast<faults::FaultKind>(static_cast<std::uint8_t>(kind) - 1);
+}
+
+static_assert(
+    replay_kind(faults::FaultKind::kCrash) == ReplayEventKind::kCrash &&
+    replay_kind(faults::FaultKind::kStick) == ReplayEventKind::kStick);
 
 // Where the recorded run started, self-contained.
 struct CaptureHeader {

@@ -1,14 +1,12 @@
 // Deterministic replay of a recorded perturbed run (DESIGN.md §7).
 //
-// Replay is pure data application: no engine, no generator. The replayer
-// maintains the same counts-level bookkeeping as the PerturbedEngine
-// (configuration, crashed and stubborn sub-populations, output tallies, an
-// incremental invariant monitor) and applies the recorded events in order —
-// fault events exactly as the adapter's apply_events does, interaction
-// events by applying δ to the recorded state pair with the recorded
-// stubborn-suppression flags. Replaying an unmodified log therefore
-// reconstructs the original trajectory bit-exactly: same first-violation
-// step, same decision, same final configuration.
+// Replay is pure data application: no engine, no generator. Each recorded
+// decision, fault event or scheduled interaction with its stubborn flags,
+// goes to the same faults::PerturbedConfiguration the PerturbedEngine feeds
+// its own draws to, with an invariant monitor attached. Replaying an
+// unmodified log therefore reconstructs the original trajectory
+// bit-exactly: same first-violation step, same decision, same final
+// configuration.
 //
 // Because replay never draws randomness, the event list can be *edited* and
 // re-applied — the delta-debugging shrinker (shrink.hpp) relies on this to
@@ -22,6 +20,7 @@
 #include <vector>
 
 #include "faults/invariant_monitor.hpp"
+#include "faults/perturbed_configuration.hpp"
 #include "population/configuration.hpp"
 #include "population/protocol.hpp"
 #include "population/run.hpp"
@@ -60,146 +59,50 @@ ReplayResult replay_events(const P& protocol,
                            const Counts& initial,
                            const std::vector<ReplayEvent>& events,
                            std::uint64_t start_step = 0) {
-  POPBEAN_CHECK(initial.size() == protocol.num_states());
   POPBEAN_CHECK(invariant.num_states() == protocol.num_states());
-  const std::size_t s = protocol.num_states();
-  const std::uint64_t n = population_size(initial);
-
-  Counts counts = initial;
-  Counts frozen(s, 0);
-  Counts stuck(s, 0);
-  std::uint64_t frozen_count = 0;
-  std::uint64_t steps = start_step;
-  std::uint64_t out_count[2] = {0, 0};
-  for (State q = 0; q < s; ++q) {
-    out_count[protocol.output(q) == 0 ? 0 : 1] += counts[q];
-  }
+  faults::PerturbedConfiguration config(protocol, initial);
   faults::InvariantMonitor monitor(invariant, initial);
-
-  ReplayResult result;
-  const auto mobile = [&](State q) {
-    return counts[q] - frozen[q] - stuck[q];
-  };
-  const auto move = [&](State from, State to) {
-    --counts[from];
-    ++counts[to];
-    monitor.apply_move(from, to);
-    const Output before = protocol.output(from);
-    const Output after = protocol.output(to);
-    if (before != after) {
-      --out_count[before == 0 ? 0 : 1];
-      ++out_count[after == 0 ? 0 : 1];
-    }
-  };
-  const auto infeasible = [&](std::size_t index, const std::string& why) {
-    result.feasible = false;
-    result.infeasible_event = index;
-    result.infeasible_reason = why;
-  };
+  config.attach_monitor(&monitor);
+  std::uint64_t steps = start_step;
 
   // The adapter assesses fault batches once per batch, not per event (Φ may
   // legitimately drift and return within one batch). Batch boundaries are
   // not encoded in the log, but a maximal run of consecutive fault events is
   // applied at a single interaction count, so deferring the check to the end
   // of the run reproduces the adapter's assessment.
+  ReplayResult result;
   bool fault_check_pending = false;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const ReplayEvent& event = events[i];
-    const bool has_target = event.kind == ReplayEventKind::kInteraction ||
-                            event.kind == ReplayEventKind::kCorrupt ||
-                            event.kind == ReplayEventKind::kSignFlip;
-    if (event.a >= s || (has_target && event.b >= s)) {
-      infeasible(i, "event state out of range");
+    faults::PerturbedConfiguration::Rejection rejected = nullptr;
+    if (event.is_fault()) {
+      rejected = config.apply({fault_kind(event.kind), event.a, event.b});
+      fault_check_pending = true;
+    } else {
+      if (fault_check_pending) monitor.check(steps);
+      fault_check_pending = false;
+      rejected = config.interact(protocol, event.a, event.b,
+                                 (event.flags & kInitiatorStuck) != 0,
+                                 (event.flags & kResponderStuck) != 0);
+      if (rejected == nullptr) monitor.check(steps++);
+    }
+    if (rejected != nullptr) {
+      result.feasible = false;
+      result.infeasible_event = i;
+      result.infeasible_reason = rejected;
       break;
     }
-    if (event.is_fault()) fault_check_pending = true;
-    switch (event.kind) {
-      case ReplayEventKind::kCrash:
-        if (mobile(event.a) == 0) {
-          infeasible(i, "crash targets a state with no mobile agent");
-          break;
-        }
-        ++frozen[event.a];
-        ++frozen_count;
-        break;
-      case ReplayEventKind::kRecover:
-        if (frozen[event.a] == 0) {
-          infeasible(i, "recovery targets a state with no crashed agent");
-          break;
-        }
-        --frozen[event.a];
-        --frozen_count;
-        break;
-      case ReplayEventKind::kCorrupt:
-      case ReplayEventKind::kSignFlip:
-        if (mobile(event.a) == 0) {
-          infeasible(i, "corruption targets a state with no mobile agent");
-          break;
-        }
-        if (event.a != event.b) move(event.a, event.b);
-        break;
-      case ReplayEventKind::kStick:
-        if (mobile(event.a) == 0) {
-          infeasible(i, "stick targets a state with no mobile agent");
-          break;
-        }
-        ++stuck[event.a];
-        break;
-      case ReplayEventKind::kInteraction: {
-        if (fault_check_pending) {
-          monitor.check(steps);
-          fault_check_pending = false;
-        }
-        const State a = event.a;
-        const State b = event.b;
-        const bool a_stuck = (event.flags & kInitiatorStuck) != 0;
-        const bool b_stuck = (event.flags & kResponderStuck) != 0;
-        // Seat the two agents the recorded schedule picked: each seat needs
-        // an agent of the right state in the right sub-population, with the
-        // initiator's seat excluded when both share a state.
-        const std::uint64_t need_a = a_stuck ? stuck[a] : mobile(a);
-        if (need_a == 0) {
-          infeasible(i, "interaction initiator seat unavailable");
-          break;
-        }
-        const std::uint64_t same = a == b ? 1 : 0;
-        const std::uint64_t excl_stuck = (a == b && a_stuck) ? 1 : 0;
-        const std::uint64_t pool_b =
-            b_stuck ? stuck[b] - excl_stuck
-                    : mobile(b) - (same - excl_stuck);
-        if ((b_stuck && stuck[b] < excl_stuck + 1) ||
-            (!b_stuck && mobile(b) < (same - excl_stuck) + 1) || pool_b == 0) {
-          infeasible(i, "interaction responder seat unavailable");
-          break;
-        }
-        const Transition t = protocol.apply(a, b);
-        if (!a_stuck && a != t.initiator) move(a, t.initiator);
-        if (!b_stuck && b != t.responder) {
-          // The seated responder still holds state b: the initiator's move
-          // moved a different agent. counts[b] must therefore be positive.
-          if (counts[b] == 0) {
-            infeasible(i, "interaction responder vanished mid-step");
-            break;
-          }
-          move(b, t.responder);
-        }
-        monitor.check(steps);
-        ++steps;
-        break;
-      }
-    }
-    if (!result.feasible) break;
   }
   if (result.feasible && fault_check_pending) monitor.check(steps);
 
   result.interactions = steps;
   result.violated = monitor.violated();
   result.violation_step = monitor.first_violation_step().value_or(0);
-  result.final_counts = counts;
-  if (out_count[0] == 0 || out_count[1] == 0) {
+  result.final_counts = config.counts();
+  if (config.all_same_output()) {
     result.status = RunStatus::kConverged;
-    result.decided = out_count[1] >= out_count[0] ? 1 : 0;
-  } else if (n - frozen_count < 2) {
+    result.decided = config.dominant_output();
+  } else if (config.interacting() < 2) {
     result.status = RunStatus::kAbsorbing;
   } else {
     result.status = RunStatus::kStepLimit;

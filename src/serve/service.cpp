@@ -470,14 +470,7 @@ std::optional<std::string> JobService::submit_internal(JobSpec spec,
                                                 result.evicted->spec.trace_id,
                                                 result.evicted->spec.origin));
         }
-        for (QueuedJob& victim : update_overload_locked(now)) {
-          metrics_.add(ids_.shed);
-          trace_job_end(victim.spec.trace_id, "overloaded", "shed_overload");
-          to_emit.push_back(overloaded_response(victim.spec.id,
-                                                "shed_overload",
-                                                victim.spec.trace_id,
-                                                victim.spec.origin));
-        }
+        update_overload_locked(now, to_emit);
         pump_locked();
       }
     }
@@ -507,9 +500,8 @@ void JobService::pump_locked() {
   }
 }
 
-std::vector<QueuedJob> JobService::update_overload_locked(
-    Clock::time_point now) {
-  std::vector<QueuedJob> shed;
+void JobService::update_overload_locked(Clock::time_point now,
+                                        std::vector<JobResponse>& to_emit) {
   const double occupancy = queue_.occupancy();
   if (occupancy >= config_.degradation.high_watermark) {
     if (!overload_since_.has_value()) overload_since_ = now;
@@ -522,7 +514,12 @@ std::vector<QueuedJob> JobService::update_overload_locked(
       while (queue_.occupancy() > config_.degradation.high_watermark) {
         std::optional<QueuedJob> victim = queue_.shed_lowest();
         if (!victim.has_value()) break;
-        shed.push_back(std::move(*victim));
+        metrics_.add(ids_.shed);
+        trace_job_end(victim->spec.trace_id, "overloaded", "shed_overload");
+        to_emit.push_back(overloaded_response(victim->spec.id,
+                                              "shed_overload",
+                                              victim->spec.trace_id,
+                                              victim->spec.origin));
       }
     }
   } else if (occupancy <= config_.degradation.low_watermark) {
@@ -530,7 +527,6 @@ std::vector<QueuedJob> JobService::update_overload_locked(
     overload_since_.reset();
     level_ = 0;
   }
-  return shed;
 }
 
 void JobService::update_gauges_locked() {
@@ -571,13 +567,7 @@ void JobService::run_job(const QueuedJob& job, ActiveJob& ctx) {
                                    return a.get() == &ctx;
                                  }),
                   active_.end());
-    for (QueuedJob& victim : update_overload_locked(Clock::now())) {
-      metrics_.add(ids_.shed);
-      trace_job_end(victim.spec.trace_id, "overloaded", "shed_overload");
-      to_emit.push_back(overloaded_response(victim.spec.id, "shed_overload",
-                                            victim.spec.trace_id,
-                                            victim.spec.origin));
-    }
+    update_overload_locked(Clock::now(), to_emit);
     pump_locked();
     update_gauges_locked();
     if (running_ == 0 && queue_.empty()) idle_cv_.notify_all();
@@ -690,12 +680,7 @@ JobResponse JobService::execute(const QueuedJob& job, ActiveJob& ctx) {
     if (action == ChaosAction::kSlow) {
       // A wedged worker: deliberately does NOT poll the job deadline, so
       // only the watchdog's abandon flag or a drain cancel unsticks it.
-      const auto stall_until = Clock::now() + config_.chaos_slow;
-      while (Clock::now() < stall_until &&
-             !cancel_.load(std::memory_order_relaxed) &&
-             !ctx.abandon.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+      sleep_interruptible(config_.chaos_slow, ctx);
     }
     if (action == ChaosAction::kFail) {
       attempt = Attempt{AttemptKind::kFailed, JobResult{}, "chaos_fail", {}};

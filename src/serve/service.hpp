@@ -228,9 +228,11 @@ class JobService {
   // Pops queued jobs into the pool while workers are available, so the
   // admission queue (not the pool's FIFO) decides execution order.
   void pump_locked();
-  // Re-evaluates the degradation ladder; returns jobs shed by rung 3
-  // (responses must be emitted by the caller after unlocking).
-  std::vector<QueuedJob> update_overload_locked(Clock::time_point now);
+  // Re-evaluates the degradation ladder. Jobs shed by rung 3 are counted,
+  // their spans closed, and their responses appended to `to_emit`, which the
+  // caller emits after unlocking.
+  void update_overload_locked(Clock::time_point now,
+                              std::vector<JobResponse>& to_emit);
   void update_gauges_locked();
   void run_job(const QueuedJob& job, ActiveJob& ctx);
   JobResponse execute(const QueuedJob& job, ActiveJob& ctx);

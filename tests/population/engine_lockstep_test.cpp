@@ -65,12 +65,6 @@ class ReferenceSkip {
     return total;
   }
 
-  void force_move(State from, State to) {
-    adjust(from, -1);
-    adjust(to, +1);
-    absorbing_ = false;
-  }
-
   void step(Xoshiro256ss& rng) {
     if (absorbing_) return;
     const std::uint64_t weight = reactive_weight();
@@ -139,11 +133,6 @@ class ReferenceCount {
   const Counts& counts() const { return counts_; }
   std::uint64_t steps() const { return steps_; }
 
-  void force_move(State from, State to) {
-    adjust(from, -1);
-    adjust(to, +1);
-  }
-
   void step(Xoshiro256ss& rng) {
     const State a = find(rng.below(n_));
     adjust(a, -1);
@@ -177,10 +166,12 @@ class ReferenceCount {
   std::uint64_t steps_ = 0;
 };
 
-// Mid-run events applied to both sides at a given step index.
+// Mid-run events at a given step index: move one agent from `from` to `to`
+// and rebuild both sides from the moved configuration, or reload the engine
+// from its own snapshot.
 struct Event {
   int at = -1;
-  enum Kind { kForceMove, kReload } kind = kForceMove;
+  enum Kind { kMoveAgent, kReload } kind = kMoveAgent;
   State from = 0;
   State to = 0;
 };
@@ -208,10 +199,13 @@ void run_lockstep(const P& protocol, const Counts& initial, int steps,
   for (int i = 0; i < steps; ++i) {
     for (const Event& e : events) {
       if (e.at != i) continue;
-      if (e.kind == Event::kForceMove) {
+      if (e.kind == Event::kMoveAgent) {
         if (ref.counts()[e.from] == 0) continue;
-        engine.force_move(e.from, e.to, rng_engine);
-        ref.force_move(e.from, e.to);
+        Counts moved = ref.counts();
+        --moved[e.from];
+        ++moved[e.to];
+        engine = Engine<P>(protocol, moved);
+        ref = Ref<P>(protocol, moved);
       } else {
         BinaryWriter out;
         engine.save_state(out);
@@ -276,7 +270,7 @@ TEST(EngineLockstepTest, CountEngineNStateAvcAtTenThousandStates) {
   run_lockstep<CountEngine, ReferenceCount>(
       protocol, majority_instance_with_margin(protocol, 10001, 1), 20000, 23,
       {{5000, Event::kReload},
-       {9000, Event::kForceMove, protocol.initial_state(Opinion::A), 5000}});
+       {9000, Event::kMoveAgent, protocol.initial_state(Opinion::A), 5000}});
 }
 
 TEST(EngineLockstepTest, SmallProtocols) {
@@ -315,23 +309,23 @@ TEST(EngineLockstepTest, RandomProtocolsMixingDenseAndSparseColumns) {
 TEST(EngineLockstepTest, ForceMoveAndReloadMidRun) {
   const auto protocol = avc_with_states(avc::for_epsilon(0.01));
   const std::vector<Event> events = {
-      {500, Event::kForceMove, 0, 99},    {900, Event::kReload},
-      {1200, Event::kForceMove, 50, 50},  {1300, Event::kForceMove, 49, 0},
-      {2000, Event::kReload},             {2500, Event::kForceMove, 51, 98}};
+      {500, Event::kMoveAgent, 0, 99},    {900, Event::kReload},
+      {1200, Event::kMoveAgent, 50, 50},  {1300, Event::kMoveAgent, 49, 0},
+      {2000, Event::kReload},             {2500, Event::kMoveAgent, 51, 98}};
   lockstep_both(protocol, majority_instance_with_margin(protocol, 601, 7),
                 4000, 19, events);
 
   const RandomProtocol random(257, 7, 0.5);
   Counts initial(257, 3);
   lockstep_both(random, initial, 3000, 20,
-                {{100, Event::kForceMove, 3, 200}, {700, Event::kReload},
-                 {701, Event::kForceMove, 256, 0}});
+                {{100, Event::kMoveAgent, 3, 200}, {700, Event::kReload},
+                 {701, Event::kMoveAgent, 256, 0}});
 }
 
 TEST(EngineLockstepTest, AbsorbingConfigurationAndItsRevival) {
   // Weak a and weak b never react in the four-state protocol: the skip
-  // engine must report zero weight and stall until a strong agent is
-  // injected.
+  // engine must report zero weight and stall, and an engine rebuilt with
+  // one strong agent in place of a weak one must react again.
   FourStateProtocol four;
   Counts weak(4, 0);
   weak[FourStateProtocol::kWeakA] = 20;
@@ -339,7 +333,7 @@ TEST(EngineLockstepTest, AbsorbingConfigurationAndItsRevival) {
   run_lockstep<SkipEngine, ReferenceSkip>(
       four, weak, 400, 21,
       {{50, Event::kReload},
-       {100, Event::kForceMove, FourStateProtocol::kWeakB,
+       {100, Event::kMoveAgent, FourStateProtocol::kWeakB,
         FourStateProtocol::kStrongA}});
   SkipEngine<FourStateProtocol> engine(four, weak);
   Xoshiro256ss rng(22);

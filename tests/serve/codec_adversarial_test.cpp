@@ -1,10 +1,12 @@
 // Adversarial byte streams against the strict serve codec (DESIGN.md §14):
 // the same fixtures the TCP reader chews on, table-driven — frames split at
 // every byte boundary, CRLF vs LF, over-cap lines, interleaved valid and
-// garbage frames — plus the remote-spill wire format's round trips
-// (job_request_line / parse_job_response as strict inverses).
+// garbage frames, seeded mutations of the fixtures — plus the remote-spill
+// wire format's round trips (job_request_line / parse_job_response as strict
+// inverses).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <variant>
@@ -12,6 +14,7 @@
 
 #include "net/framer.hpp"
 #include "serve/codec.hpp"
+#include "util/rng.hpp"
 
 namespace popbean::serve {
 namespace {
@@ -162,6 +165,83 @@ TEST(CodecAdversarialTest, OverCapLineRejectedStreamRecovers) {
   const auto* spec = std::get_if<JobSpec>(&parsed);
   ASSERT_NE(spec, nullptr);
   EXPECT_EQ(spec->id, "after");
+}
+
+// One seeded mutation of a fixture stream: a byte flip, an inserted byte
+// (biased toward JSON punctuation and terminators), a deleted byte, or a
+// doubled or stripped '\n'.
+void mutate(std::string& stream, Xoshiro256ss& rng) {
+  static constexpr char kBytes[] = "{}[]\":,\\\n\r 0-9.eEtrufalsn\x00\xff";
+  const std::size_t at = stream.empty() ? 0 : rng.below(stream.size());
+  const std::size_t newline = stream.find('\n', at);
+  switch (rng.below(5)) {
+    case 0:
+      if (!stream.empty()) stream[at] ^= static_cast<char>(1 + rng.below(255));
+      break;
+    case 1:
+      stream.insert(stream.begin() + static_cast<std::ptrdiff_t>(at),
+                    kBytes[rng.below(sizeof kBytes - 1)]);
+      break;
+    case 2:
+      if (!stream.empty()) stream.erase(at, 1);
+      break;
+    case 3:
+      if (newline != std::string::npos) stream.insert(newline, 1, '\n');
+      break;
+    default:
+      if (newline != std::string::npos) stream.erase(newline, 1);
+      break;
+  }
+}
+
+TEST(CodecAdversarialTest, SeededMutationsKeepOneVerdictPerFrame) {
+  Xoshiro256ss rng(20150721);
+  for (int iteration = 0; iteration < 40000; ++iteration) {
+    std::string stream;
+    for (std::uint64_t k = 1 + rng.below(6); k > 0; --k) {
+      stream += kFixtures[rng.below(std::size(kFixtures))].line;
+      stream += rng.below(4) == 0 ? "\r\n" : "\n";
+    }
+    for (std::uint64_t k = 1 + rng.below(4); k > 0; --k) mutate(stream, rng);
+
+    // Fed in three chunks at random split points; the streams stay far
+    // below the cap, so no frame is oversized.
+    net::LineFramer framer(1 << 12);
+    RequestReader reader;
+    std::size_t frames = 0;
+    std::uint64_t framed_bytes = 0;
+    std::size_t fed = 0;
+    for (int chunk = 0; chunk < 3; ++chunk) {
+      const std::size_t end =
+          chunk == 2 ? stream.size() : fed + rng.below(stream.size() - fed + 1);
+      framer.feed(std::string_view(stream).substr(fed, end - fed));
+      fed = end;
+      while (std::optional<net::LineFramer::Frame> frame = framer.next()) {
+        ASSERT_FALSE(frame->oversized);
+        ASSERT_EQ(frame->offset, framed_bytes);
+        ++frames;
+        framed_bytes += frame->wire_size;
+        const ParsedRequest verdict =
+            reader.next(frame->line, frame->wire_size);
+        ASSERT_EQ(reader.bytes_consumed(), framed_bytes);
+        const auto* spec = std::get_if<JobSpec>(&verdict);
+        if (spec == nullptr) {
+          ASSERT_TRUE(std::holds_alternative<RequestError>(verdict));
+          continue;
+        }
+        const std::string line = job_request_line(*spec);
+        const ParsedRequest back = parse_job_request(line);
+        const auto* again = std::get_if<JobSpec>(&back);
+        ASSERT_NE(again, nullptr) << line << " <- " << frame->line;
+        ASSERT_EQ(job_request_line(*again), line) << frame->line;
+      }
+    }
+    ASSERT_EQ(frames, static_cast<std::size_t>(
+                          std::count(stream.begin(), stream.end(), '\n')))
+        << "iteration " << iteration;
+    ASSERT_EQ(framed_bytes, stream.rfind('\n') + 1)
+        << "iteration " << iteration;
+  }
 }
 
 // ---- remote-spill wire format ------------------------------------------
