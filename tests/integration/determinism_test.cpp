@@ -15,9 +15,11 @@
 #include "population/count_engine.hpp"
 #include "population/run.hpp"
 #include "protocols/four_state.hpp"
+#include "protocols/tabulated.hpp"
 #include "protocols/three_state.hpp"
 #include "util/rng.hpp"
 #include "verify/builtin_invariants.hpp"
+#include "zoo/registry.hpp"
 
 namespace popbean {
 namespace {
@@ -88,6 +90,15 @@ TEST(DeterminismTest, SkipEnginePinnedGoldens) {
   const avc::AvcParams s1000 = avc::n_state(1001);  // s ≈ 1000
   expect_pinned(avc::AvcProtocol(s1000.m, s1000.d), {1001, 1, Opinion::A},
                 EngineKind::kSkip, 2017, {23213, 1});
+  // A programmatic δ (zoo runtime) and a wrapped one (TabulatedProtocol), so
+  // a change to how the engine evaluates δ shows up beyond the built-ins.
+  zoo::with_zoo_runtime("zoo:doubling", [](const auto& runtime) {
+    expect_pinned(runtime, {1001, 1, Opinion::A}, EngineKind::kSkip, 2021,
+                  {46132, 1});
+    return 0;
+  });
+  expect_pinned(TabulatedProtocol(avc::AvcProtocol(s100.m, s100.d)),
+                {2001, 21, Opinion::B}, EngineKind::kSkip, 2022, {45048, 0});
 }
 
 TEST(DeterminismTest, CountEnginePinnedGoldens) {
