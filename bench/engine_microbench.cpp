@@ -309,6 +309,7 @@ int run(int argc, char** argv) {
   const FourStateProtocol four_state;
   const avc::AvcProtocol avc63(63, 1);
   const avc::AvcProtocol avc4095(4095, 1);
+  const avc::AvcProtocol avc1000(997, 1);  // Fig. 3's n = 1001 cell, s = 1000
   const avc::AvcParams nstate_params = avc::n_state(config.n);
   const avc::AvcProtocol avc_nstate(nstate_params.m, nstate_params.d);
   const zoo::Runtime<zoo::DoublingProtocol> zoo_doubling{
@@ -336,6 +337,8 @@ int run(int argc, char** argv) {
   results.push_back(run_skip_case("skip/four_state", "four_state",
                                   four_state, config));
   results.push_back(run_skip_case("skip/avc63", "avc63", avc63, config));
+  results.push_back(
+      run_skip_case("skip/avc1000", "avc1000", avc1000, config));
   results.push_back(run_avc_apply_case(9, config));
   results.push_back(run_avc_apply_case(63, config));
   results.push_back(run_avc_apply_case(1023, config));

@@ -16,9 +16,9 @@
 // interaction counts) is identical to direct simulation — verified by
 // distribution-equivalence tests against AgentEngine/CountEngine.
 //
-// Cost per productive interaction: O(√s + L) for the pair draw and O(L) per
-// count change, where L is the length of the exception lists below, plus
-// O(s²) memory for the tabulated transition function (kMaxStates bounds s).
+// Cost per productive interaction: O(√s + L) for the pair draw, one δ call
+// for the drawn pair and O(L) per count change, where L is the length of the
+// exception lists below; memory is s² reactivity bytes (kMaxStates bounds s).
 //
 // The derived state that makes this cheap (all exact integers):
 //
@@ -67,7 +67,7 @@ namespace popbean {
 template <ProtocolLike P>
 class SkipEngine : public EngineCore<P> {
  public:
-  // Largest supported state count; the δ table is s² entries.
+  // Largest supported state count; the reactivity table is s² bytes.
   static constexpr std::size_t kMaxStates = 1024;
 
   SkipEngine(P protocol, const Counts& counts)
@@ -75,16 +75,13 @@ class SkipEngine : public EngineCore<P> {
         num_states_(protocol_.num_states()),
         counts_(counts) {
     POPBEAN_CHECK_MSG(num_states_ <= kMaxStates,
-                      "SkipEngine tabulates s^2 transitions; use CountEngine "
-                      "for protocols with many states");
+                      "SkipEngine keeps s^2 reactivity bytes; use "
+                      "CountEngine for protocols with many states");
 
-    table_.resize(num_states_ * num_states_);
     reactive_.resize(num_states_ * num_states_);
     for (State a = 0; a < num_states_; ++a) {
       for (State b = 0; b < num_states_; ++b) {
-        const Transition t = protocol_.apply(a, b);
-        table_[cell(a, b)] = t;
-        reactive_[cell(a, b)] = !is_null(t, a, b);
+        reactive_[cell(a, b)] = !is_null(protocol_.apply(a, b), a, b);
       }
     }
 
@@ -145,8 +142,8 @@ class SkipEngine : public EngineCore<P> {
   std::uint64_t reactive_weight() const noexcept { return weight_; }
 
   // --- snapshot hooks (src/recovery) ---------------------------------------
-  // Serializes counts, step count, and the absorbing flag; the δ table,
-  // weights and output tallies are derived state, rebuilt on load.
+  // Serializes counts, step count, and the absorbing flag; the reactivity
+  // table, weights and output tallies are derived state, rebuilt on load.
   static constexpr std::string_view kSnapshotKind = "engine/skip";
 
   void save_state(BinaryWriter& out) const {
@@ -207,7 +204,7 @@ class SkipEngine : public EngineCore<P> {
     });
     POPBEAN_DCHECK(j < num_states_ && reactive_[cell(i, j)]);
 
-    const Transition t = table_[cell(i, j)];
+    const Transition t = protocol_.apply(i, j);
     if (t.initiator != i) {
       adjust(i, -1);
       adjust(t.initiator, +1);
@@ -344,7 +341,7 @@ class SkipEngine : public EngineCore<P> {
     return total;
   }
 
-  // R_i straight from the δ table (debug cross-check).
+  // R_i straight from the reactivity table (debug cross-check).
   std::uint64_t reactive_sum(State i) const noexcept {
     std::uint64_t total = 0;
     for (State j = 0; j < num_states_; ++j) {
@@ -355,7 +352,6 @@ class SkipEngine : public EngineCore<P> {
 
   std::size_t num_states_;
   Counts counts_;
-  std::vector<Transition> table_;
   std::vector<char> reactive_;
   obs::EngineProbe* probe_ = nullptr;
   std::vector<obs::ReactionKind> kind_table_;  // built lazily by attach_probe

@@ -8,7 +8,7 @@
 // transition — decode the raw codes, run the member's δ, re-encode — so no
 // s² table ever exists. All three engines accept a Runtime directly; the
 // count engine is the natural host (O(log s) sampling, O(s) memory), while
-// the skip engine tabulates internally and so inherits its own state cap.
+// the skip engine stores s² reactivity bytes and so has its own state cap.
 //
 // Decoding is a flat array lookup (raw codes are small packed integers),
 // and outputs are cached per dense id, so the per-interaction overhead vs

@@ -10,6 +10,7 @@
 #include "protocols/three_state.hpp"
 #include "protocols/voter.hpp"
 #include "util/stats.hpp"
+#include "zoo/registry.hpp"
 
 namespace popbean {
 namespace {
@@ -199,17 +200,27 @@ TEST(ExactChainTest, TransientDistributionMatchesEveryEngine) {
   check(skip, "skip");
 }
 
+// Mean interactions to convergence over fixed-seed replicates, and how many
+// of them converged on output 1 (opinion A).
+struct SimulatedRuns {
+  double mean = 0.0;
+  int decided_a = 0;
+};
+
 template <template <typename> class Engine, typename P>
-double simulated_mean_time(const P& protocol, const Counts& initial,
-                           int replicates, std::uint64_t seed) {
+SimulatedRuns simulate_runs(const P& protocol, const Counts& initial,
+                            int replicates, std::uint64_t seed) {
   OnlineStats stats;
+  SimulatedRuns runs;
   for (int rep = 0; rep < replicates; ++rep) {
     Engine<P> engine(protocol, initial);
     Xoshiro256ss rng(seed, static_cast<std::uint64_t>(rep));
     const RunResult result = run_to_convergence(engine, rng, 1'000'000'000);
     stats.add(static_cast<double>(result.interactions));
+    if (result.converged() && result.decided == 1) ++runs.decided_a;
   }
-  return stats.mean();
+  runs.mean = stats.mean();
+  return runs;
 }
 
 TEST(ExactChainTest, FourStateExpectedTimeMatchesEveryEngine) {
@@ -222,13 +233,13 @@ TEST(ExactChainTest, FourStateExpectedTimeMatchesEveryEngine) {
   // Monte Carlo error ~ sd/sqrt(reps); allow 5%.
   const double tolerance = exact * 0.05;
   EXPECT_NEAR(
-      (simulated_mean_time<AgentEngine>(protocol, initial, kReps, 802)),
+      simulate_runs<AgentEngine>(protocol, initial, kReps, 802).mean,
       exact, tolerance);
   EXPECT_NEAR(
-      (simulated_mean_time<CountEngine>(protocol, initial, kReps, 803)),
+      simulate_runs<CountEngine>(protocol, initial, kReps, 803).mean,
       exact, tolerance);
   EXPECT_NEAR(
-      (simulated_mean_time<SkipEngine>(protocol, initial, kReps, 804)),
+      simulate_runs<SkipEngine>(protocol, initial, kReps, 804).mean,
       exact, tolerance);
 }
 
@@ -239,8 +250,42 @@ TEST(ExactChainTest, AvcExpectedTimeMatchesSimulation) {
   const Counts initial = majority_instance_with_margin(protocol, kN, 2);
   const double exact = chain.expected_interactions_to_unanimity(initial);
   const double simulated =
-      simulated_mean_time<SkipEngine>(protocol, initial, 4000, 805);
+      simulate_runs<SkipEngine>(protocol, initial, 4000, 805).mean;
   EXPECT_NEAR(simulated, exact, exact * 0.05);
+}
+
+// The zoo members compute δ in code, and every engine calls it for the
+// pair it draws. On the verification-gate runtimes the exact chain is small
+// enough to solve: each engine's mean time must match it, and every run
+// must decide the majority, since the chain absorbs there with probability 1.
+TEST(ExactChainTest, ZooGateRuntimesMatchEveryEngine) {
+  constexpr int kReps = 4000;
+  auto check = [&](std::string_view spec, std::uint64_t n,
+                   std::uint64_t seed) {
+    zoo::with_zoo_runtime_gate(spec, [&](const auto& runtime) {
+      ExactChain chain(runtime, n);
+      const Counts initial = majority_instance_with_margin(runtime, n, 2);
+      EXPECT_NEAR(chain.absorption_probability(initial, 1), 1.0, 1e-9)
+          << spec;
+      const double exact = chain.expected_interactions_to_unanimity(initial);
+      const double tolerance = exact * 0.05;
+      const SimulatedRuns agent =
+          simulate_runs<AgentEngine>(runtime, initial, kReps, seed);
+      const SimulatedRuns count =
+          simulate_runs<CountEngine>(runtime, initial, kReps, seed + 1);
+      const SimulatedRuns skip =
+          simulate_runs<SkipEngine>(runtime, initial, kReps, seed + 2);
+      EXPECT_NEAR(agent.mean, exact, tolerance) << spec << " agent";
+      EXPECT_NEAR(count.mean, exact, tolerance) << spec << " count";
+      EXPECT_NEAR(skip.mean, exact, tolerance) << spec << " skip";
+      EXPECT_EQ(agent.decided_a, kReps) << spec << " agent";
+      EXPECT_EQ(count.decided_a, kReps) << spec << " count";
+      EXPECT_EQ(skip.decided_a, kReps) << spec << " skip";
+      return 0;
+    });
+  };
+  check("zoo:doubling", 10, 821);   // s = 8, 19448 configs, E[T] ≈ 43.2
+  check("zoo:berenbrink", 6, 831);  // s = 16, 54264 configs, E[T] ≈ 15.0
 }
 
 TEST(ExactChainTest, AvcSmallerMarginTakesLongerExactly) {

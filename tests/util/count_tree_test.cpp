@@ -1,6 +1,6 @@
-// Tests for the K-ary count tree. The FenwickTest / FenwickPropertyTest
-// suite names are kept from the binary-indexed tree this structure replaced,
-// so these checks keep their test IDs.
+// Tests for the K-ary count tree. The FenwickPropertyTest suite name is kept
+// from the binary-indexed tree this structure replaced, so those checks keep
+// their test IDs.
 #include "util/count_tree.hpp"
 
 #include <cmath>
@@ -30,14 +30,14 @@ std::uint64_t sum(const Weights& weights) {
   return std::accumulate(weights.begin(), weights.end(), std::uint64_t{0});
 }
 
-TEST(FenwickTest, EmptyTreeHasZeroTotal) {
+TEST(CountTreeTest, EmptyTreeHasZeroTotal) {
   const CountTree tree(Weights(8, 0));
   EXPECT_EQ(tree.size(), 8u);
   EXPECT_EQ(tree.total(), 0u);
   EXPECT_EQ(tree.weights(), Weights(8, 0));
 }
 
-TEST(FenwickTest, BulkConstructionMatchesWeights) {
+TEST(CountTreeTest, BulkConstructionMatchesWeights) {
   // Nine weights: two level-0 groups, the second one partial.
   const Weights weights = {3, 0, 7, 1, 0, 5, 2, 9, 4};
   const CountTree tree(weights);
@@ -48,7 +48,7 @@ TEST(FenwickTest, BulkConstructionMatchesWeights) {
   }
 }
 
-TEST(FenwickTest, AddUpdatesPointAndTotal) {
+TEST(CountTreeTest, AddUpdatesPointAndTotal) {
   CountTree tree(Weights(5, 0));
   tree.add(2, 10);
   tree.add(4, 3);
@@ -60,7 +60,7 @@ TEST(FenwickTest, AddUpdatesPointAndTotal) {
   EXPECT_EQ(tree.find_by_prefix(8), 4u);
 }
 
-TEST(FenwickTest, FindByPrefixLocatesEveryUnit) {
+TEST(CountTreeTest, FindByPrefixLocatesEveryUnit) {
   const CountTree tree(Weights{2, 0, 3, 1});
   // Targets 0,1 -> index 0; 2,3,4 -> index 2; 5 -> index 3.
   EXPECT_EQ(tree.find_by_prefix(0), 0u);
@@ -74,7 +74,7 @@ TEST(FenwickTest, FindByPrefixLocatesEveryUnit) {
   EXPECT_EQ(tree.find_pair(4, 4), (std::pair<std::size_t, std::size_t>{2, 2}));
 }
 
-TEST(FenwickTest, FindByPrefixSkipsZeroWeightStates) {
+TEST(CountTreeTest, FindByPrefixSkipsZeroWeightStates) {
   const CountTree tree(Weights{0, 0, 1, 0, 0});
   EXPECT_EQ(tree.find_by_prefix(0), 2u);
   // The same across a level boundary: one unit at the last of 4097 states.
