@@ -6,6 +6,8 @@
 // The count/zoo_* and apply/zoo_* pairs measure the programmatic-δ dispatch
 // of a zoo Runtime against its materialized (tabulated) counterpart — the
 // cost of computing transitions on the fly instead of one table lookup.
+// The job/* cases time whole small serve jobs (ns per job), construction
+// included, on the engine the service picks for them.
 //
 // Each case also runs with an obs::EngineProbe attached and reports the
 // relative slowdown (`probe_overhead_pct`, best probed repeat against best
@@ -35,16 +37,20 @@
 
 #include "core/avc.hpp"
 #include "core/avc_params.hpp"
+#include "harness/experiment.hpp"
 #include "harness/report.hpp"
 #include "obs/probe.hpp"
 #include "population/agent_engine.hpp"
 #include "population/configuration.hpp"
 #include "population/count_engine.hpp"
 #include "population/skip_engine.hpp"
+#include "population/with_engine.hpp"
 #include "protocols/four_state.hpp"
+#include "serve/service.hpp"
 #include "util/check.hpp"
 #include "zoo/doubling.hpp"
 #include "zoo/materialize.hpp"
+#include "zoo/registry.hpp"
 #include "zoo/runtime.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -211,6 +217,37 @@ CaseResult run_skip_case(std::string name, std::string protocol_name,
       });
 }
 
+// Whole small serve jobs, engine construction included, on the engine
+// serve::job_engine picks for them: a unit is one job run to convergence at
+// ε = 0.1 (perfbench's serve mix), job j of a repeat on its own stream.
+constexpr std::uint64_t kJobsPerRepeat = 400;
+
+template <typename P>
+CaseResult run_job_case(std::string name, std::string protocol_name,
+                        const P& protocol, std::uint64_t n,
+                        const BenchConfig& config) {
+  const MajorityInstance instance = make_instance(n, 0.1);
+  const Counts counts = majority_instance_with_margin(
+      protocol, instance.n, instance.margin, instance.majority);
+  const EngineKind kind = serve::job_engine(protocol.num_states(), n);
+  return run_case(
+      std::move(name), to_string(kind), std::move(protocol_name),
+      kJobsPerRepeat, config,
+      [&](std::size_t repeat, obs::EngineProbe* probe,
+          std::uint64_t& interactions) {
+        const auto start = Clock::now();
+        for (std::uint64_t j = 0; j < kJobsPerRepeat; ++j) {
+          Xoshiro256ss rng(config.seed, repeat * kJobsPerRepeat + j);
+          interactions += with_engine(
+              kind, protocol, counts, rng, [&](auto& engine) {
+                if (probe != nullptr) engine.attach_probe(probe);
+                return run_to_convergence(engine, rng, 500 * n).interactions;
+              });
+        }
+        return seconds_since(start);
+      });
+}
+
 // Transition-function cost in isolation (no engine, no probe). The
 // zoo pairs (programmatic runtime vs its materialized table) isolate the
 // cost of computing δ on the fly vs one table lookup.
@@ -339,6 +376,12 @@ int run(int argc, char** argv) {
   results.push_back(run_skip_case("skip/avc63", "avc63", avc63, config));
   results.push_back(
       run_skip_case("skip/avc1000", "avc1000", avc1000, config));
+  results.push_back(run_job_case("job/four_state_n300", "four_state",
+                                 four_state, 300, config));
+  zoo::with_zoo_runtime("zoo:berenbrink", [&](const auto& berenbrink) {
+    results.push_back(run_job_case("job/zoo_berenbrink_n100",
+                                   "zoo:berenbrink", berenbrink, 100, config));
+  });
   results.push_back(run_avc_apply_case(9, config));
   results.push_back(run_avc_apply_case(63, config));
   results.push_back(run_avc_apply_case(1023, config));

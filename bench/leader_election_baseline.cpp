@@ -14,7 +14,6 @@
 #include "core/avc.hpp"
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
-#include "population/count_engine.hpp"
 #include "population/run.hpp"
 #include "protocols/leader_election.hpp"
 #include "protocols/product.hpp"
@@ -52,12 +51,12 @@ int run(int argc, char** argv) {
     parallel_for_index(pool, replicates, [&](std::size_t rep) {
       Counts counts(2, 0);
       counts[LeaderElectionProtocol::kLeader] = n;
-      CountEngine<LeaderElectionProtocol> engine(protocol, counts);
       Xoshiro256ss rng(options.seed + n, rep);
-      while (LeaderElectionProtocol::leaders(engine.counts()) > 1) {
-        engine.step(rng);
-      }
-      samples[rep] = engine.parallel_time();
+      samples[rep] = with_engine(
+          EngineKind::kCount, protocol, counts, rng, [&](auto& engine) {
+            while (protocol.leaders(engine.counts()) > 1) engine.step(rng);
+            return engine.parallel_time();
+          });
     });
     const Summary summary = summarize(samples);
     const double ratio = summary.mean / static_cast<double>(n);
@@ -84,25 +83,24 @@ int run(int argc, char** argv) {
   std::size_t correct = 0;
   OnlineStats leader_time;
   for (std::size_t rep = 0; rep < replicates; ++rep) {
-    Counts counts = majority_instance_with_margin(
+    const Counts counts = majority_instance_with_margin(
         composed, instance.n, instance.margin, instance.majority);
-    CountEngine<decltype(composed)> engine(composed, counts);
     Xoshiro256ss rng(options.seed + 7, rep);
-    auto leaders = [&] {
-      std::uint64_t total = 0;
-      const Counts& c = engine.counts();
-      for (State q = 0; q < c.size(); ++q) {
-        if (composed.decode(q).first == LeaderElectionProtocol::kLeader) {
-          total += c[q];
+    with_engine(EngineKind::kCount, composed, counts, rng, [&](auto& engine) {
+      auto leaders = [&] {
+        std::uint64_t total = 0;
+        const Counts& c = engine.counts();
+        for (State q = 0; q < c.size(); ++q) {
+          if (composed.decode(q).first == LeaderElectionProtocol::kLeader) {
+            total += c[q];
+          }
         }
-      }
-      return total;
-    };
-    while (leaders() > 1 || !engine.all_same_output()) {
-      engine.step(rng);
-    }
-    leader_time.add(engine.parallel_time());
-    if (engine.dominant_output() == instance.correct_output()) ++correct;
+        return total;
+      };
+      while (leaders() > 1 || !engine.all_same_output()) engine.step(rng);
+      leader_time.add(engine.parallel_time());
+      if (engine.dominant_output() == instance.correct_output()) ++correct;
+    });
   }
   std::cout << "runs ending with one leader AND a unanimous majority "
                "verdict: " << replicates << "/" << replicates

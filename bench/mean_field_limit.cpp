@@ -20,7 +20,7 @@
 #include "core/avc.hpp"
 #include "harness/report.hpp"
 #include "population/configuration.hpp"
-#include "population/count_engine.hpp"
+#include "population/with_engine.hpp"
 #include "protocols/three_state.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
@@ -80,13 +80,14 @@ int run(int argc, char** argv) {
       Counts counts(4, 0);
       counts[ThreeStateProtocol::kX] = n * 6 / 10;
       counts[ThreeStateProtocol::kY] = n - n * 6 / 10;
-      CountEngine<ThreeStateProtocol> engine(three, counts);
       Xoshiro256ss rng(options.seed + n, static_cast<std::uint64_t>(rep));
       const auto target = static_cast<std::uint64_t>(kT * static_cast<double>(n));
-      while (engine.steps() < target) engine.step(rng);
-      x_fraction += static_cast<double>(
-                        engine.counts()[ThreeStateProtocol::kX]) /
-                    static_cast<double>(n);
+      x_fraction += with_engine(
+          EngineKind::kCount, three, counts, rng, [&](auto& engine) {
+            while (engine.steps() < target) engine.step(rng);
+            const auto x = engine.counts()[ThreeStateProtocol::kX];
+            return static_cast<double>(x) / static_cast<double>(n);
+          });
     }
     x_fraction /= kReps;
     const double gap = std::abs(x_fraction - limit[ThreeStateProtocol::kX]);

@@ -20,7 +20,6 @@
 #include "core/avc_observables.hpp"
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
-#include "population/count_engine.hpp"
 #include "population/trace.hpp"
 #include "util/csv.hpp"
 
@@ -39,7 +38,6 @@ int run(int argc, char** argv) {
   const Counts initial = majority_instance_with_margin(
       protocol, instance.n, instance.margin, instance.majority);
 
-  CountEngine<avc::AvcProtocol> engine(protocol, initial);
   TraceRecorder recorder({avc::max_positive_weight(protocol),
                           avc::max_negative_weight(protocol),
                           avc::weak_nodes(protocol),
@@ -47,8 +45,10 @@ int run(int argc, char** argv) {
                           avc::strictly_negative_nodes(protocol),
                           avc::total_value(protocol)});
   Xoshiro256ss rng(options.seed);
-  const RunResult result =
-      recorder.record(engine, rng, /*stride=*/n / 4, 400'000'000'000ULL);
+  const RunResult result = with_engine(
+      EngineKind::kCount, protocol, initial, rng, [&](auto& engine) {
+        return recorder.record(engine, rng, n / 4, 400'000'000'000ULL);
+      });
 
   print_banner(std::cout, "AVC phase dynamics (n = " + std::to_string(n) +
                               ", m = " + std::to_string(m) + ", eps = " +

@@ -6,30 +6,18 @@
 
 #include <cmath>
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "population/agent_engine.hpp"
 #include "population/configuration.hpp"
-#include "population/count_engine.hpp"
 #include "population/protocol.hpp"
 #include "population/run.hpp"
-#include "population/skip_engine.hpp"
+#include "population/with_engine.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace popbean {
-
-enum class EngineKind {
-  kAgent,  // explicit agent array, O(1)/interaction
-  kCount,  // counts in a K-ary count tree, O(log_K s)/interaction
-  kSkip,   // jump-chain (null-interaction skipping), O(√s + L)/productive step
-  kAuto,   // kSkip when the state space is small enough, else kCount
-};
-
-std::string to_string(EngineKind kind);
 
 // A majority-problem input: n agents, the majority opinion leading by
 // `margin` agents (so ε = margin / n, paper §2).
@@ -77,25 +65,9 @@ RunResult run_majority_once(const P& protocol, const MajorityInstance& instance,
                ? EngineKind::kSkip
                : EngineKind::kCount;
   }
-  switch (kind) {
-    case EngineKind::kAgent: {
-      AgentEngine<P> engine(protocol, counts);
-      engine.shuffle_placement(rng);
-      return run_to_convergence(engine, rng, max_interactions);
-    }
-    case EngineKind::kCount: {
-      CountEngine<P> engine(protocol, counts);
-      return run_to_convergence(engine, rng, max_interactions);
-    }
-    case EngineKind::kSkip: {
-      SkipEngine<P> engine(protocol, counts);
-      return run_to_convergence(engine, rng, max_interactions);
-    }
-    case EngineKind::kAuto:
-      break;
-  }
-  POPBEAN_CHECK_MSG(false, "unreachable engine kind");
-  return {};
+  return with_engine(kind, protocol, counts, rng, [&](auto& engine) {
+    return run_to_convergence(engine, rng, max_interactions);
+  });
 }
 
 // Aggregate over replicates of one experimental point, with the full

@@ -35,8 +35,8 @@
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
 #include "harness/sweep.hpp"
-#include "population/count_engine.hpp"
 #include "population/run.hpp"
+#include "population/with_engine.hpp"
 #include "util/binary_io.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
@@ -118,54 +118,56 @@ std::optional<FaultCellOutcome> run_fault_cell(
   const std::uint64_t stream =
       static_cast<std::uint64_t>(point) * config.replicates + replicate;
   Xoshiro256ss rng(config.seed, stream);
-  auto engine = faults::make_perturbed(CountEngine<P>(protocol, initial),
-                                       make_faults(rate), make_schedule(),
-                                       rng);
-  faults::InvariantMonitor monitor(invariant, initial);
-  engine.attach_monitor(&monitor);
-  obs::EngineProbe probe;
-  if (obs.metrics != nullptr) engine.attach_probe(&probe);
-  const std::optional<RunResult> result = run_to_convergence_interruptible(
-      engine, rng, config.max_interactions, should_stop, stop_check_interval);
-  if (!result) return std::nullopt;
-  FaultCellOutcome out;
-  out.result = *result;
-  out.counters = engine.fault_counters();
-  out.violated = monitor.violated();
-  out.violation_step = monitor.first_violation_step().value_or(0);
+  return with_engine(EngineKind::kCount, protocol, initial, rng,
+                     [&](auto& base) -> std::optional<FaultCellOutcome> {
+    auto engine = faults::make_perturbed(std::move(base), make_faults(rate),
+                                         make_schedule(), rng);
+    faults::InvariantMonitor monitor(invariant, initial);
+    engine.attach_monitor(&monitor);
+    obs::EngineProbe probe;
+    if (obs.metrics != nullptr) engine.attach_probe(&probe);
+    const std::optional<RunResult> result = run_to_convergence_interruptible(
+        engine, rng, config.max_interactions, should_stop,
+        stop_check_interval);
+    if (!result) return std::nullopt;
+    FaultCellOutcome out;
+    out.result = *result;
+    out.counters = engine.fault_counters();
+    out.violated = monitor.violated();
+    out.violation_step = monitor.first_violation_step().value_or(0);
 
-  if (obs.metrics != nullptr) {
-    obs::MetricsRegistry& metrics = *obs.metrics;
-    obs::flush_engine_probe(metrics, probe);
-    metrics.add(metrics.counter("faults.crashes"), out.counters.crashes);
-    metrics.add(metrics.counter("faults.recoveries"), out.counters.recoveries);
-    metrics.add(metrics.counter("faults.corruptions"),
-                out.counters.corruptions);
-    metrics.add(metrics.counter("faults.sign_flips"), out.counters.sign_flips);
-    metrics.add(metrics.counter("faults.stuck"), out.counters.stuck);
-    metrics.add(metrics.counter("faults.schedule_delays"),
-                out.counters.schedule_delays);
-    metrics.add(metrics.counter("faults.injected_interactions"),
-                out.counters.injected_interactions);
-    switch (result->status) {
-      case RunStatus::kConverged:
-        metrics.add(metrics.counter("runs.converged"));
-        break;
-      case RunStatus::kStepLimit:
-        metrics.add(metrics.counter("runs.step_limit"));
-        break;
-      case RunStatus::kAbsorbing:
-        metrics.add(metrics.counter("runs.absorbing"));
-        break;
+    if (obs.metrics != nullptr) {
+      obs::MetricsRegistry& metrics = *obs.metrics;
+      const faults::FaultCounters& c = out.counters;
+      obs::flush_engine_probe(metrics, probe);
+      metrics.add(metrics.counter("faults.crashes"), c.crashes);
+      metrics.add(metrics.counter("faults.recoveries"), c.recoveries);
+      metrics.add(metrics.counter("faults.corruptions"), c.corruptions);
+      metrics.add(metrics.counter("faults.sign_flips"), c.sign_flips);
+      metrics.add(metrics.counter("faults.stuck"), c.stuck);
+      metrics.add(metrics.counter("faults.schedule_delays"), c.schedule_delays);
+      metrics.add(metrics.counter("faults.injected_interactions"),
+                  c.injected_interactions);
+      switch (result->status) {
+        case RunStatus::kConverged:
+          metrics.add(metrics.counter("runs.converged"));
+          break;
+        case RunStatus::kStepLimit:
+          metrics.add(metrics.counter("runs.step_limit"));
+          break;
+        case RunStatus::kAbsorbing:
+          metrics.add(metrics.counter("runs.absorbing"));
+          break;
+      }
+      if (out.violated) metrics.add(metrics.counter("runs.violated"));
+      metrics.observe(
+          metrics.histogram("run.parallel_time",
+                            Histogram::logarithmic(1e-2, 1e8, 50)),
+          static_cast<double>(result->interactions) /
+              static_cast<double>(config.n));
     }
-    if (out.violated) metrics.add(metrics.counter("runs.violated"));
-    metrics.observe(
-        metrics.histogram("run.parallel_time",
-                          Histogram::logarithmic(1e-2, 1e8, 50)),
-        static_cast<double>(result->interactions) /
-            static_cast<double>(config.n));
-  }
-  return out;
+    return out;
+  });
 }
 
 // Folds per-cell outcomes (cell (p, r) at index p·replicates + r; `present`

@@ -51,9 +51,21 @@ RunResult run_result(const E& engine, RunStatus status) {
   return result;
 }
 
+// Steps `engine` once without carrying it past `max_steps` interactions: an
+// engine whose step can jump (the skip engine) stops the jump there.
+template <EngineLike E>
+void step_within(E& engine, Xoshiro256ss& rng, std::uint64_t max_steps) {
+  if constexpr (requires { engine.step(rng, max_steps); }) {
+    engine.step(rng, max_steps);
+  } else {
+    engine.step(rng);
+  }
+}
+
 // Steps the engine until every agent maps to the same output, the
 // interaction budget runs out, or (skip engine only) the configuration is
-// absorbing with mixed outputs. "All agents same output" is an absorbing
+// absorbing with mixed outputs. No run reports more interactions than its
+// budget (step_within). "All agents same output" is an absorbing
 // predicate for every protocol in this library (paper Lemma A.1 for AVC;
 // convergence_test.cpp checks the baselines), so stopping there matches the
 // paper's convergence-time metric.
@@ -81,7 +93,7 @@ std::optional<RunResult> run_to_convergence_interruptible(
       return run_result(engine, RunStatus::kStepLimit);
     }
     const std::uint64_t before = engine.steps();
-    engine.step(rng);
+    step_within(engine, rng, max_interactions);
     if (engine.steps() == before) {  // skip engine hit an absorbing config
       return run_result(engine, RunStatus::kAbsorbing);
     }

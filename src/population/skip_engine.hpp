@@ -50,6 +50,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -163,8 +164,12 @@ class SkipEngine : public EngineCore<P> {
   }
 
   // Advances time past the pending run of null interactions and executes the
-  // next productive interaction (or marks the configuration absorbing).
-  void step(Xoshiro256ss& rng) {
+  // next productive interaction (or marks the configuration absorbing). When
+  // that interaction would land past `max_steps`, time stops at max_steps
+  // instead and the configuration is left as it is: every interaction up to
+  // there is null, so the stop is exact. Requires steps() < max_steps.
+  void step(Xoshiro256ss& rng, std::uint64_t max_steps =
+                                    std::numeric_limits<std::uint64_t>::max()) {
     if (absorbing_) return;
     POPBEAN_DCHECK(weight_ == summed_row_weights());
     if (weight_ == 0) {
@@ -175,6 +180,13 @@ class SkipEngine : public EngineCore<P> {
                                static_cast<double>(num_agents_ - 1);
     const double p = static_cast<double>(weight_) / total_pairs;
     const std::uint64_t skipped = rng.geometric_failures(p);
+    if (skipped >= max_steps - steps_) {
+      POPBEAN_OBS_HOOK(if (probe_ != nullptr) {
+        probe_->record_nulls(max_steps - steps_);
+      })
+      steps_ = max_steps;
+      return;
+    }
     steps_ += skipped + 1;
     POPBEAN_OBS_HOOK(
         if (probe_ != nullptr) { probe_->record_nulls(skipped); })

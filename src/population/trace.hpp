@@ -68,7 +68,7 @@ class TraceRecorder {
     RunResult result;
     while (!engine.all_same_output() && engine.steps() < max_interactions) {
       const std::uint64_t before = engine.steps();
-      engine.step(rng);
+      step_within(engine, rng, max_interactions);
       if (engine.steps() == before) break;  // absorbing
       if (engine.steps() >= next_sample) {
         sample(engine.steps(), engine.num_agents(), engine.counts());

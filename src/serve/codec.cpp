@@ -1,9 +1,13 @@
 #include "serve/codec.hpp"
 
+#include <algorithm>
+#include <cstring>
+#include <functional>
 #include <limits>
 #include <sstream>
 
 #include "obs/context.hpp"
+#include "util/check.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
 #include "zoo/registry.hpp"
@@ -310,20 +314,72 @@ std::optional<JobResponse> parse_job_response(std::string_view line,
   return response;
 }
 
+std::optional<std::uint64_t> IdLedger::first_use(std::string_view id,
+                                                 std::uint64_t offset) {
+  if (4 * (size_ + 1) > 3 * slots_.size()) grow();
+  std::uint32_t& slot = find_slot(id);
+  if (slot != kEmpty) {
+    std::uint64_t first = 0;
+    std::memcpy(&first, record(slot), sizeof first);
+    return first;
+  }
+  slot = append(id, offset);
+  ++size_;
+  return std::nullopt;
+}
+
+std::string_view IdLedger::id_at(std::uint32_t at) const noexcept {
+  std::uint32_t length = 0;
+  std::memcpy(&length, record(at) + 8, sizeof length);
+  return {record(at) + kHeaderBytes, length};
+}
+
+std::uint32_t& IdLedger::find_slot(std::string_view id) {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = std::hash<std::string_view>{}(id) & mask;;
+       i = (i + 1) & mask) {
+    if (slots_[i] == kEmpty || id_at(slots_[i]) == id) return slots_[i];
+  }
+}
+
+std::uint32_t IdLedger::append(std::string_view id, std::uint64_t offset) {
+  const std::size_t bytes = kHeaderBytes + id.size();
+  if (pages_.empty() || pages_.back().size() + bytes > kPageBytes) {
+    POPBEAN_CHECK_MSG(pages_.size() < 0xffff,
+                      "job id ledger past 65535 pages on one connection");
+    pages_.emplace_back().reserve(std::max(kPageBytes, bytes));
+  }
+  std::string& page = pages_.back();
+  const auto at =
+      static_cast<std::uint32_t>((pages_.size() - 1) << 16 | page.size());
+  const auto length = static_cast<std::uint32_t>(id.size());
+  page.append(reinterpret_cast<const char*>(&offset), sizeof offset);
+  page.append(reinterpret_cast<const char*>(&length), sizeof length);
+  page.append(id);
+  return at;
+}
+
+void IdLedger::grow() {
+  std::vector<std::uint32_t> old(std::max<std::size_t>(16, 2 * slots_.size()),
+                                 kEmpty);
+  old.swap(slots_);
+  for (const std::uint32_t at : old) {
+    if (at != kEmpty) find_slot(id_at(at)) = at;
+  }
+}
+
 ParsedRequest RequestReader::next(std::string_view line,
                                   std::uint64_t framed_size) {
   const std::uint64_t line_offset = offset_;
   offset_ += framed_size;
   ParsedRequest parsed = parse_job_request(line);
   if (JobSpec* spec = std::get_if<JobSpec>(&parsed)) {
-    const auto it = first_use_.find(spec->id);
-    if (it != first_use_.end()) {
+    if (const auto first = first_use_.first_use(spec->id, line_offset)) {
       return RequestError{
           spec->id, "duplicate job id \"" + spec->id + "\": first used at "
-                        "byte " + std::to_string(it->second) +
+                        "byte " + std::to_string(*first) +
                         ", duplicated at byte " + std::to_string(line_offset)};
     }
-    first_use_.emplace(spec->id, line_offset);
     // Trace minting happens here, at decode (DESIGN.md §13): the id exists
     // before admission, so even a shed or invalid-deadline rejection is
     // attributable to a trace.

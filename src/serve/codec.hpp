@@ -30,12 +30,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <variant>
+#include <vector>
 
 #include "serve/job.hpp"
 
@@ -75,6 +75,40 @@ std::string job_request_line(const JobSpec& spec);
 std::optional<JobResponse> parse_job_response(std::string_view line,
                                               std::string* error = nullptr);
 
+// The first-use byte offset of every job id one connection has sent: an
+// open-addressing table of 4-byte record positions over pages of records
+// (offset, id length, id). Pages are never reallocated, so the ledger
+// costs about 30 bytes an id with 10-byte ids, where a std::map node takes
+// 80. It grows for the life of the connection, as the duplicate check
+// requires.
+class IdLedger {
+ public:
+  // The offset `id` was first recorded at; or, for a new id, nullopt after
+  // recording it at `offset`.
+  std::optional<std::uint64_t> first_use(std::string_view id,
+                                         std::uint64_t offset);
+  std::size_t size() const noexcept { return size_; }
+
+ private:
+  // A record's position is its page << 16 | its byte within the page; an id
+  // too long for a page gets a page of its own.
+  static constexpr std::size_t kPageBytes = std::size_t{1} << 16;
+  static constexpr std::size_t kHeaderBytes = 12;  // u64 offset, u32 length
+  static constexpr std::uint32_t kEmpty = 0xffffffff;  // page 0xffff unused
+
+  const char* record(std::uint32_t at) const noexcept {
+    return pages_[at >> 16].data() + (at & 0xffff);
+  }
+  std::string_view id_at(std::uint32_t at) const noexcept;
+  std::uint32_t& find_slot(std::string_view id);  // its slot, or an empty one
+  std::uint32_t append(std::string_view id, std::uint64_t offset);
+  void grow();
+
+  std::vector<std::uint32_t> slots_;  // a power of two, at most 3/4 full
+  std::vector<std::string> pages_;
+  std::size_t size_ = 0;
+};
+
 // Connection-scoped strict reader: parse_job_request plus the per-
 // connection state a stateless parse cannot enforce — running byte offsets
 // and the set of job ids already seen. A duplicate job id within one
@@ -96,7 +130,7 @@ class RequestReader {
 
  private:
   std::uint64_t offset_ = 0;
-  std::map<std::string, std::uint64_t, std::less<>> first_use_;
+  IdLedger first_use_;
 };
 
 // Writes one response line (terminated with '\n'). Thread-unsafe; callers

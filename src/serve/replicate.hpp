@@ -21,8 +21,11 @@
 // Replica RNG streams: replica j's replicate r of attempt a draws from
 // `Xoshiro256ss(spec.seed, replica_stream(a, r, j))`. Replica 0 reproduces
 // the single-run stream layout exactly, so k = 1 is bit-identical to
-// unreplicated execution, and any replica is reproducible offline from its
-// (seed, stream) pair via recovery::record_perturbed_run / popbean-replay.
+// unreplicated execution. Any replica is reproducible offline from its
+// (seed, stream) pair: an honest one through the dispatch point, by running
+// with_engine(job_engine(s, n), ...) on that stream; a chaos-corrupt one,
+// the only kind that can be recorded, via recovery::record_perturbed_run /
+// popbean-replay.
 #pragma once
 
 #include <algorithm>

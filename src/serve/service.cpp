@@ -12,6 +12,7 @@
 #include "obs/context.hpp"
 #include "obs/pool_obs.hpp"
 #include "population/count_engine.hpp"
+#include "population/with_engine.hpp"
 #include "protocols/four_state.hpp"
 #include "protocols/three_state.hpp"
 #include "recovery/divergence.hpp"
@@ -75,8 +76,10 @@ struct AttemptPlan {
 
 // Runs one voting replica: all statistical replicates on their own RNG
 // streams (replicate.hpp's replica_stream — replica 0 reuses the legacy
-// a·1000003 + r layout). Returns nullopt when interrupted (deadline /
-// abandon / cancel), which the vote treats as a non-matching slot.
+// a·1000003 + r layout), on job_engine's pick for an honest replica and on
+// the perturbed CountEngine recovery::record_perturbed_run re-records for a
+// corrupt one. Returns nullopt when interrupted (deadline / abandon / cancel), which the
+// vote treats as a non-matching slot.
 template <typename P, typename StopFn>
 std::optional<ReplicaPayload> run_replica(
     const P& protocol, const JobSpec& spec, const Counts& initial,
@@ -105,18 +108,20 @@ std::optional<ReplicaPayload> run_replica(
     const std::uint64_t stream =
         replica_stream(plan.attempt_index, r, replica);
     Xoshiro256ss rng(spec.seed, stream);
+    const auto run = [&](auto& engine) {
+      return run_to_convergence_interruptible(
+          engine, rng, plan.max_interactions, should_stop, plan.poll_interval);
+    };
     std::optional<RunResult> result;
     if (corrupt) {
       auto engine = faults::make_perturbed(
           CountEngine<P>(protocol, initial),
           faults::TransientCorruption(plan.corrupt_rate),
           faults::UniformSchedule{}, rng);
-      result = run_to_convergence_interruptible(
-          engine, rng, plan.max_interactions, should_stop, plan.poll_interval);
+      result = run(engine);
     } else {
-      CountEngine<P> engine(protocol, initial);
-      result = run_to_convergence_interruptible(
-          engine, rng, plan.max_interactions, should_stop, plan.poll_interval);
+      result = with_engine(job_engine(protocol.num_states(), instance.n),
+                           protocol, initial, rng, run);
     }
     if (!result) {
       record_replica(true);

@@ -54,6 +54,7 @@
 #include "obs/slow_log.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "population/with_engine.hpp"
 #include "serve/admission.hpp"
 #include "serve/circuit_breaker.hpp"
 #include "serve/health.hpp"
@@ -62,6 +63,20 @@
 #include "util/thread_pool.hpp"
 
 namespace popbean::serve {
+
+// Largest population a job runs on the agent engine. Its 4-byte agents
+// then fit a 2 MiB L2; past about 10⁶ they leave it and the count engine is
+// faster (ROADMAP.md item 1 has the measured crossover).
+inline constexpr std::uint64_t kJobAgentMaxN = 500'000;
+
+// The engine a job's honest replicas run on, the fastest whole job
+// (construction included) at the job's size: skip for s ≤ 8, where its
+// s² setup is cheap; otherwise agent up to kJobAgentMaxN agents, then count.
+// This is the service's rule, not the harness's kAuto.
+inline EngineKind job_engine(std::size_t num_states, std::uint64_t n) {
+  if (num_states <= 8) return EngineKind::kSkip;
+  return n <= kJobAgentMaxN ? EngineKind::kAgent : EngineKind::kCount;
+}
 
 enum class ChaosAction {
   kNone,     // run the attempt normally

@@ -5,6 +5,7 @@
 #include "population/count_engine.hpp"
 #include "population/run.hpp"
 #include "population/skip_engine.hpp"
+#include "population/with_engine.hpp"
 #include "protocols/four_state.hpp"
 #include "protocols/three_state.hpp"
 #include "protocols/voter.hpp"
@@ -104,6 +105,24 @@ TYPED_TEST(EngineTypedTest, StepLimitReported) {
   EXPECT_EQ(result.status, RunStatus::kStepLimit);
 }
 
+// No engine reports more interactions than its budget, whatever the budget
+// cuts: the skip engine's jumps stop at it.
+TYPED_TEST(EngineTypedTest, InteractionsNeverExceedTheBudget) {
+  FourStateProtocol protocol;
+  const Counts counts = majority_instance(protocol, 200, 101);
+  for (const std::uint64_t budget : {1ULL, 7ULL, 100ULL, 5'000ULL, 60'000ULL}) {
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      TypeParam engine(protocol, counts);
+      Xoshiro256ss rng(seed);
+      const RunResult result = run_to_convergence(engine, rng, budget);
+      ASSERT_LE(result.interactions, budget) << "seed " << seed;
+      if (result.status == RunStatus::kStepLimit) {
+        ASSERT_EQ(result.interactions, budget) << "seed " << seed;
+      }
+    }
+  }
+}
+
 // The output tally is not in the snapshot: load_state must re-derive it
 // from the restored configuration, not keep the fresh engine's.
 TYPED_TEST(EngineTypedTest, LoadStateRecountsTheOutputTally) {
@@ -123,6 +142,32 @@ TYPED_TEST(EngineTypedTest, LoadStateRecountsTheOutputTally) {
   EXPECT_EQ(restored.output_agents(1), engine.output_agents(1));
   EXPECT_EQ(restored.output_agents(0), engine.output_agents(0));
   EXPECT_EQ(restored.all_same_output(), engine.all_same_output());
+}
+
+// with_engine builds exactly the engine a caller would build by hand, the
+// agent engine with its placement shuffled on the run's rng first.
+TEST(WithEngineTest, RunsMatchHandBuiltEngines) {
+  FourStateProtocol protocol;
+  const Counts counts = majority_instance(protocol, 101, 52);
+  const auto run = [](auto& engine, Xoshiro256ss& rng) {
+    return run_to_convergence(engine, rng, 1'000'000).interactions;
+  };
+  const auto via = [&](EngineKind kind) {
+    Xoshiro256ss rng(31, 4);
+    return with_engine(kind, protocol, counts, rng,
+                       [&](auto& engine) { return run(engine, rng); });
+  };
+  Xoshiro256ss agent_rng(31, 4);
+  AgentEngine<FourStateProtocol> agent(protocol, counts);
+  agent.shuffle_placement(agent_rng);
+  EXPECT_EQ(via(EngineKind::kAgent), run(agent, agent_rng));
+  Xoshiro256ss count_rng(31, 4);
+  CountEngine<FourStateProtocol> count(protocol, counts);
+  EXPECT_EQ(via(EngineKind::kCount), run(count, count_rng));
+  Xoshiro256ss skip_rng(31, 4);
+  SkipEngine<FourStateProtocol> skip(protocol, counts);
+  EXPECT_EQ(via(EngineKind::kSkip), run(skip, skip_rng));
+  EXPECT_THROW(via(EngineKind::kAuto), std::logic_error);
 }
 
 TEST(AgentEngineTest, ShufflePreservesCounts) {

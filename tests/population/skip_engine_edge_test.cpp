@@ -87,16 +87,29 @@ TEST(SkipEngineEdgeTest, MobileWrapperStillExactUnderSkip) {
 }
 
 TEST(SkipEngineEdgeTest, StepBudgetOverrunIsBoundedByOneJump) {
-  // The skip engine may overshoot a budget only by the in-flight null run;
-  // run_to_convergence stops at the first check past the budget. Ensure
-  // the status is reported as step-limit, not converged.
+  // A jump that would cross the budget stops at it: the interactions it
+  // skips over are null, so the run ends exactly at the budget, as a
+  // step-limit, with the configuration unchanged by the unmade step.
   FourStateProtocol protocol;
   const Counts counts = majority_instance(protocol, 1000, 501);
   SkipEngine<FourStateProtocol> engine(protocol, counts);
   Xoshiro256ss rng(1705);
   const RunResult result = run_to_convergence(engine, rng, /*max=*/100);
   EXPECT_EQ(result.status, RunStatus::kStepLimit);
-  EXPECT_GE(result.interactions, 100u);
+  EXPECT_EQ(result.interactions, 100u);
+
+  // One strong A and one weak B among weak As: the only productive pair
+  // converts the last B, about n²/2 interactions away. A budget of 100 cuts
+  // that jump, so the run must not come back converged.
+  Counts last(4, 0);
+  last[FourStateProtocol::kStrongA] = 1;
+  last[FourStateProtocol::kWeakA] = 998;
+  last[FourStateProtocol::kWeakB] = 1;
+  SkipEngine<FourStateProtocol> tail(protocol, last);
+  const RunResult cut = run_to_convergence(tail, rng, /*max=*/100);
+  EXPECT_EQ(cut.status, RunStatus::kStepLimit);
+  EXPECT_EQ(cut.interactions, 100u);
+  EXPECT_EQ(tail.counts(), last);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "population/count_engine.hpp"
+#include "population/skip_engine.hpp"
 #include "protocols/four_state.hpp"
 #include "util/rng.hpp"
 
@@ -79,6 +80,18 @@ TEST(TraceTest, RespectsStepBudget) {
   const RunResult result = recorder.record(engine, rng, 100, 500);
   EXPECT_EQ(result.status, RunStatus::kStepLimit);
   EXPECT_EQ(result.interactions, 500u);
+
+  // The skip engine's jump to its only productive pair, which would convert
+  // the last weak B, lies far past the budget: the trace stops at it.
+  Counts last(4, 0);
+  last[FourStateProtocol::kStrongA] = 1;
+  last[FourStateProtocol::kWeakA] = 998;
+  last[FourStateProtocol::kWeakB] = 1;
+  SkipEngine<FourStateProtocol> skip(protocol, last);
+  TraceRecorder skip_recorder({output_one_count(protocol)});
+  const RunResult cut = skip_recorder.record(skip, rng, 100, 500);
+  EXPECT_EQ(cut.status, RunStatus::kStepLimit);
+  EXPECT_EQ(cut.interactions, 500u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <string>
 #include <variant>
@@ -241,6 +242,73 @@ TEST(CodecAdversarialTest, SeededMutationsKeepOneVerdictPerFrame) {
         << "iteration " << iteration;
     ASSERT_EQ(framed_bytes, stream.rfind('\n') + 1)
         << "iteration " << iteration;
+  }
+}
+
+// The duplicate-id check as a std::map from id to first-use offset: the
+// reference RequestReader's ledger must agree with.
+class MapReader {
+ public:
+  ParsedRequest next(std::string_view line, std::uint64_t framed_size) {
+    const std::uint64_t line_offset = offset_;
+    offset_ += framed_size;
+    ParsedRequest parsed = parse_job_request(line);
+    if (JobSpec* spec = std::get_if<JobSpec>(&parsed)) {
+      const auto it = first_use_.find(spec->id);
+      if (it != first_use_.end()) {
+        return RequestError{
+            spec->id, "duplicate job id \"" + spec->id +
+                          "\": first used at byte " +
+                          std::to_string(it->second) +
+                          ", duplicated at byte " +
+                          std::to_string(line_offset)};
+      }
+      first_use_.emplace(spec->id, line_offset);
+    }
+    return parsed;
+  }
+  std::size_t ids_seen() const noexcept { return first_use_.size(); }
+
+ private:
+  std::uint64_t offset_ = 0;
+  std::map<std::string, std::uint64_t, std::less<>> first_use_;
+};
+
+TEST(CodecAdversarialTest, IdLedgerMatchesAMapOnRandomIdStreams) {
+  Xoshiro256ss rng(20260418);
+  for (int stream = 0; stream < 8; ++stream) {
+    // A pool of ids of 1-40 bytes, some sharing long prefixes and a few
+    // longer than a ledger page, drawn with repeats; a fifth of the frames
+    // carry the id inside a request that fails validation, which must not
+    // reserve it.
+    std::vector<std::string> pool(500 + rng.below(3000));
+    for (std::string& id : pool) {
+      id = rng.below(3) == 0 ? "job-prefix-shared-" : "";
+      if (rng.below(400) == 0) id.assign(70'000 + rng.below(8), 'L');
+      for (std::uint64_t k = 1 + rng.below(40 - id.size() % 40); k > 0; --k) {
+        id += static_cast<char>('a' + rng.below(26));
+      }
+    }
+    RequestReader reader;
+    MapReader reference;
+    for (int frame = 0; frame < 6000; ++frame) {
+      const std::string& id = pool[rng.below(pool.size())];
+      const bool garbage = rng.below(5) == 0;
+      const std::string line = "{\"v\":2,\"id\":\"" + id + "\"" +
+                               (garbage ? ",\"n\":1}" : "}");
+      const std::uint64_t wire_size = line.size() + 1 + rng.below(2);
+      const ParsedRequest got = reader.next(line, wire_size);
+      const ParsedRequest want = reference.next(line, wire_size);
+      ASSERT_EQ(got.index(), want.index()) << line;
+      if (const auto* error = std::get_if<RequestError>(&want)) {
+        const auto& actual = std::get<RequestError>(got);
+        ASSERT_EQ(actual.id, error->id);
+        ASSERT_EQ(actual.error, error->error);
+      } else {
+        ASSERT_EQ(std::get<JobSpec>(got).id, std::get<JobSpec>(want).id);
+      }
+      ASSERT_EQ(reader.ids_seen(), reference.ids_seen());
+    }
   }
 }
 

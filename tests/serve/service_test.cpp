@@ -18,6 +18,11 @@
 #include <string>
 #include <vector>
 
+#include "core/avc.hpp"
+#include "protocols/four_state.hpp"
+#include "protocols/three_state.hpp"
+#include "zoo/registry.hpp"
+
 namespace popbean::serve {
 namespace {
 
@@ -92,6 +97,31 @@ ServiceConfig base_config(std::size_t threads = 1) {
   config.drain_deadline = 20'000ms;
   config.degradation.escalate_after = 10'000ms;  // ladder quiet by default
   return config;
+}
+
+// The service's engine rule, over the protocols a job can name: skip for
+// s ≤ 8 at any n; otherwise agent up to kJobAgentMaxN agents, then count.
+TEST(JobEngineTest, SkipForSmallProtocolsElseAgentThenCount) {
+  const auto pick = [](const auto& protocol, std::uint64_t n) {
+    return job_engine(protocol.num_states(), n);
+  };
+  for (const std::uint64_t n : {100ULL, 300ULL, 100'000'000ULL}) {
+    EXPECT_EQ(pick(FourStateProtocol{}, n), EngineKind::kSkip) << n;
+    EXPECT_EQ(pick(ThreeStateProtocol{}, n), EngineKind::kSkip) << n;
+    EXPECT_EQ(pick(avc::AvcProtocol(3, 1), n), EngineKind::kSkip) << n;
+  }
+  const avc::AvcProtocol avc63(63, 1);
+  EXPECT_EQ(pick(avc63, 300), EngineKind::kAgent);
+  EXPECT_EQ(pick(avc63, kJobAgentMaxN), EngineKind::kAgent);
+  EXPECT_EQ(pick(avc63, kJobAgentMaxN + 1), EngineKind::kCount);
+  for (const char* zoo_spec : {"zoo:doubling", "zoo:berenbrink"}) {
+    zoo::with_zoo_runtime(zoo_spec, [&](const auto& runtime) {
+      EXPECT_GT(runtime.num_states(), 8u) << zoo_spec;
+      EXPECT_EQ(pick(runtime, 300), EngineKind::kAgent) << zoo_spec;
+      EXPECT_EQ(pick(runtime, kJobAgentMaxN + 1), EngineKind::kCount)
+          << zoo_spec;
+    });
+  }
 }
 
 TEST(ServiceTest, EveryAdmittedJobGetsExactlyOneDoneResponse) {

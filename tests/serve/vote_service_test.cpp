@@ -20,7 +20,7 @@
 
 #include "harness/experiment.hpp"
 #include "obs/telemetry.hpp"
-#include "population/count_engine.hpp"
+#include "population/with_engine.hpp"
 #include "population/run.hpp"
 #include "protocols/four_state.hpp"
 #include "serve/replicate.hpp"
@@ -284,9 +284,12 @@ TEST(VoteServiceTest, SingleReplicaIsBitIdenticalToDirectSimulation) {
   double time_sum = 0.0;
   for (std::uint32_t r = 0; r < spec.replicates; ++r) {
     Xoshiro256ss rng(spec.seed, replica_stream(0, r, 0));
-    CountEngine<FourStateProtocol> engine(protocol, initial);
-    const RunResult run = run_to_convergence(
-        engine, rng, spec.effective_max_interactions());
+    const RunResult run = with_engine(
+        job_engine(protocol.num_states(), spec.n), protocol, initial, rng,
+        [&](auto& engine) {
+          return run_to_convergence(engine, rng,
+                                    spec.effective_max_interactions());
+        });
     ++expected.replicates_run;
     ASSERT_EQ(run.status, RunStatus::kConverged);
     ++expected.converged;
