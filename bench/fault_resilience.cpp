@@ -49,11 +49,13 @@ ProtocolSweep sweep_protocol(ThreadPool& pool, const P& protocol,
                              const verify::LinearInvariant& invariant,
                              const std::vector<double>& rates,
                              const FaultSweepConfig& config) {
-  ProtocolSweep sweep{label,
-                      run_fault_sweep(
-                          pool, protocol, invariant, rates, config,
-                          [](double rate) { return faults::TransientCorruption(rate); },
-                          [] { return faults::UniformSchedule{}; })};
+  ProtocolSweep sweep{
+      label, run_fault_sweep_recoverable(
+                 pool, protocol, invariant, label, rates, config,
+                 FaultSweepRecovery{},
+                 [](double rate) { return faults::TransientCorruption(rate); },
+                 [] { return faults::UniformSchedule{}; })
+                 .points};
   std::cerr << "done " << label << "\n";
   return sweep;
 }

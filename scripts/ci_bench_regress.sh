@@ -14,8 +14,15 @@
 # shared; the gate exists to catch step-change regressions (an accidental
 # O(n) in the hot loop, a lost fast path), not single-digit drift.
 #
+# Before comparing, the report's shape is checked: every case has a positive
+# rate and timed units, the four core cases (agent/four_state, count/avc63,
+# count/avc_nstate, skip/avc63) are present, and so is every baseline case.
+# A failed shape check fails the job.
+#
 # Usage: scripts/ci_bench_regress.sh [path/to/engine_microbench]
 #   BENCH_BASELINE=path   baseline report (default BENCH_baseline.json)
+#   BENCH_REPORT=path     keep this run's report there (default: a temp file
+#                         removed on exit)
 #   TOLERANCE_PCT=N       regression tolerance in percent (default 25)
 #   UPDATE_BASELINE=1     rewrite the baseline from this run instead of
 #                         comparing (use on a quiet machine, then commit)
@@ -47,11 +54,31 @@ EOF
   )
 fi
 
-REPORT="$(mktemp --suffix=.json)"
-trap 'rm -f "$REPORT"' EXIT
+if [[ -n "${BENCH_REPORT:-}" ]]; then
+  REPORT="$BENCH_REPORT"
+else
+  REPORT="$(mktemp --suffix=.json)"
+  trap 'rm -f "$REPORT"' EXIT
+fi
 echo "=== engine_microbench (n=$N batch=$BATCH skip_batch=$SKIP_BATCH repeats=$REPEATS) ==="
 "$BENCH_BIN" --n="$N" --batch="$BATCH" --skip-batch="$SKIP_BATCH" \
-  --repeats="$REPEATS" --json="$REPORT" >/dev/null
+  --repeats="$REPEATS" --json="$REPORT" >/dev/null || exit 1
+
+echo "=== report shape ==="
+python3 - "$REPORT" <<'EOF' || exit 1
+import json, sys
+
+results = json.load(open(sys.argv[1]))["results"]
+assert results, "no benchmark results"
+for case in results:
+    assert case["units_per_sec"]["mean"] > 0, f"non-positive rate in {case['name']}"
+    assert case["units"] > 0, f"no timed units in {case['name']}"
+names = {case["name"] for case in results}
+for expected in ("agent/four_state", "count/avc63", "count/avc_nstate",
+                 "skip/avc63"):
+    assert expected in names, f"missing case {expected}"
+print(f"OK: {len(results)} cases")
+EOF
 
 if [[ "${UPDATE_BASELINE:-0}" == "1" ]]; then
   cp "$REPORT" "$BASELINE"
@@ -77,10 +104,12 @@ def ns_per_unit(report):
 base = ns_per_unit(json.load(open(baseline_path)))
 now = ns_per_unit(json.load(open(report_path)))
 
+missing = sorted(set(base) - set(now))
+for name in missing:
+    print(f"MISSING {name}: baseline case absent from this run")
 regressions, improvements, compared = [], [], 0
 for name, base_ns in sorted(base.items()):
     if name not in now:
-        print(f"SKIP {name}: case missing from this run")
         continue
     compared += 1
     ratio = now[name] / base_ns
@@ -102,6 +131,10 @@ if improvements:
 if regressions:
     print(f"\n{len(regressions)} case(s) regressed beyond ±{tolerance_pct}%",
           file=sys.stderr)
+if missing:
+    print(f"\n{len(missing)} baseline case(s) missing from this run",
+          file=sys.stderr)
+if regressions or missing:
     sys.exit(1)
 print(f"\nOK: {compared} cases within tolerance")
 EOF

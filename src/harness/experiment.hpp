@@ -107,6 +107,33 @@ struct ReplicationSummary {
   }
 };
 
+// Adds one finished run to `summary`. A converged run's parallel time goes
+// to `times`, for the caller to summarize once every run is in; it is taken
+// as interactions / n because a run loaded from a sweep manifest stores no
+// parallel_time.
+inline void tally_run(const RunResult& result, const MajorityInstance& instance,
+                      ReplicationSummary& summary, std::vector<double>& times) {
+  ++summary.replicates;
+  switch (result.status) {
+    case RunStatus::kConverged:
+      ++summary.converged;
+      times.push_back(static_cast<double>(result.interactions) /
+                      static_cast<double>(instance.n));
+      if (result.decided == instance.correct_output()) {
+        ++summary.correct;
+      } else {
+        ++summary.wrong;
+      }
+      break;
+    case RunStatus::kStepLimit:
+      ++summary.step_limit;
+      break;
+    case RunStatus::kAbsorbing:
+      ++summary.absorbing;
+      break;
+  }
+}
+
 // Fans `replicates` runs of the instance across the pool. Replicate r uses
 // RNG stream `stream_base + r`.
 template <ProtocolLike P>
@@ -124,27 +151,10 @@ ReplicationSummary run_replicates(ThreadPool& pool, const P& protocol,
   });
 
   ReplicationSummary summary;
-  summary.replicates = replicates;
   std::vector<double> times;
   times.reserve(replicates);
   for (const RunResult& result : results) {
-    switch (result.status) {
-      case RunStatus::kConverged:
-        ++summary.converged;
-        times.push_back(result.parallel_time);
-        if (result.decided == instance.correct_output()) {
-          ++summary.correct;
-        } else {
-          ++summary.wrong;
-        }
-        break;
-      case RunStatus::kStepLimit:
-        ++summary.step_limit;
-        break;
-      case RunStatus::kAbsorbing:
-        ++summary.absorbing;
-        break;
-    }
+    tally_run(result, instance, summary, times);
   }
   if (!times.empty()) summary.parallel_time = summarize(times);
   return summary;

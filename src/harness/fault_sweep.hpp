@@ -10,15 +10,13 @@
 // gets a fresh, stateless-from-its-own-view instance (models like
 // EpidemicRounds carry per-run state), parameterized by the swept rate.
 //
-// Two entry points share one cell runner and one aggregation:
-//   * run_fault_sweep — the simple blocking sweep (unchanged semantics);
-//   * run_fault_sweep_recoverable — the crash-tolerant sweep (DESIGN.md §7):
-//     per-cell wall-clock timeouts with bounded retry, periodic
-//     checkpointing of completed cells to a manifest, --resume skipping
-//     finished work, cancellation draining, and a hung-cell watchdog.
-//     Because cell (p, r) always runs on rng stream p·replicates + r, a
-//     resumed sweep's merged results are bit-identical to an uninterrupted
-//     run's.
+// One entry point, run_fault_sweep_recoverable, is the crash-tolerant sweep
+// (DESIGN.md §7): per-cell wall-clock timeouts with bounded retry, periodic
+// checkpointing of completed cells to a manifest, --resume skipping finished
+// work, cancellation draining, and a hung-cell watchdog. With a default
+// FaultSweepRecovery it is a plain blocking sweep: no manifest, no timeout.
+// Because cell (p, r) always runs on rng stream p·replicates + r, a resumed
+// sweep's merged results are bit-identical to an uninterrupted run's.
 #pragma once
 
 #include <cstdint>
@@ -189,35 +187,18 @@ inline std::vector<FaultSweepPoint> aggregate_fault_cells(
       const std::size_t index = p * config.replicates + r;
       if (!present[index]) continue;
       const FaultCellOutcome& out = cells[index];
-      ++point.summary.replicates;
       if (out.timed_out) {
+        ++point.summary.replicates;
         ++point.summary.timed_out;
         continue;  // no trustworthy dynamics to aggregate
       }
+      tally_run(out.result, instance, point.summary, times);
       point.counters += out.counters;
       if (out.violated) {
         ++point.violated;
         point.violation_times.push_back(
             static_cast<double>(out.violation_step) /
             static_cast<double>(config.n));
-      }
-      switch (out.result.status) {
-        case RunStatus::kConverged:
-          ++point.summary.converged;
-          times.push_back(static_cast<double>(out.result.interactions) /
-                          static_cast<double>(config.n));
-          if (out.result.decided == instance.correct_output()) {
-            ++point.summary.correct;
-          } else {
-            ++point.summary.wrong;
-          }
-          break;
-        case RunStatus::kStepLimit:
-          ++point.summary.step_limit;
-          break;
-        case RunStatus::kAbsorbing:
-          ++point.summary.absorbing;
-          break;
       }
     }
     if (!times.empty()) point.summary.parallel_time = summarize(times);
@@ -234,38 +215,10 @@ inline std::vector<FaultSweepPoint> aggregate_fault_cells(
 // Sweeps `rates`, running `config.replicates` perturbed CountEngine runs per
 // rate. `make_faults(rate)` builds the fault model, `make_schedule()` the
 // schedule model; `invariant` is watched live in every replicate (use the
-// protocol's conservation law, e.g. verify::avc_sum_invariant). Replicate r
-// of rate point p draws its root rng from stream p·replicates + r, so every
-// cell is reproducible in isolation.
-template <ProtocolLike P, typename FaultFactory, typename ScheduleFactory>
-std::vector<FaultSweepPoint> run_fault_sweep(
-    ThreadPool& pool, const P& protocol,
-    const verify::LinearInvariant& invariant, const std::vector<double>& rates,
-    const FaultSweepConfig& config, FaultFactory&& make_faults,
-    ScheduleFactory&& make_schedule) {
-  POPBEAN_CHECK(!rates.empty());
-  POPBEAN_CHECK(config.replicates > 0);
-  POPBEAN_CHECK_MSG(invariant.num_states() == protocol.num_states(),
-                    "monitored invariant does not match the protocol");
-  const MajorityInstance instance = make_instance(config.n, config.epsilon);
-  const Counts initial = majority_instance_with_margin(
-      protocol, instance.n, instance.margin, instance.majority);
-
-  const std::size_t total = rates.size() * config.replicates;
-  std::vector<FaultCellOutcome> cells(total);
-  parallel_for_index(pool, total, [&](std::size_t index) {
-    const std::size_t p = index / config.replicates;
-    const std::size_t r = index % config.replicates;
-    const std::optional<FaultCellOutcome> out = detail::run_fault_cell(
-        protocol, invariant, initial, config, rates[p], p, r, make_faults,
-        make_schedule, [] { return false; }, 1u << 20);
-    cells[index] = *out;  // never stops: the stop fn is constant false
-  });
-  return detail::aggregate_fault_cells(rates, config, instance, cells,
-                                       std::vector<char>(total, 1));
-}
-
-// The crash-tolerant sweep. Behavior beyond run_fault_sweep:
+// protocol's conservation law, e.g. verify::avc_sum_invariant); `label`
+// names the sweep in its manifest fingerprint. Replicate r of rate point p
+// draws its root rng from stream p·replicates + r, so every cell is
+// reproducible in isolation. `recovery` adds, each off by default:
 //   * recovery.manifest_path + checkpoint_every: completed cells are
 //     appended to the manifest (one checksummed line each) and flushed every
 //     checkpoint_every cells, so a crash loses at most that much work;

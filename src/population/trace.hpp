@@ -57,30 +57,30 @@ class TraceRecorder {
     points_.push_back(std::move(point));
   }
 
-  // Drives `engine` until convergence or the interaction budget, sampling
-  // every `stride` interactions (plus the initial and final configurations).
+  // Runs `engine` through run_to_convergence, sampling every `stride`
+  // interactions (plus the initial and final configurations). The sampler is
+  // the loop's poll, which touches no randomness, so the run is the one
+  // run_to_convergence gives.
   template <EngineLike E>
   RunResult record(E& engine, Xoshiro256ss& rng, std::uint64_t stride,
                    std::uint64_t max_interactions) {
     POPBEAN_CHECK(stride > 0);
-    sample(engine.steps(), engine.num_agents(), engine.counts());
+    const auto take_sample = [&] {
+      sample(engine.steps(), engine.num_agents(), engine.counts());
+    };
+    take_sample();
     std::uint64_t next_sample = engine.steps() + stride;
-    RunResult result;
-    while (!engine.all_same_output() && engine.steps() < max_interactions) {
-      const std::uint64_t before = engine.steps();
-      step_within(engine, rng, max_interactions);
-      if (engine.steps() == before) break;  // absorbing
-      if (engine.steps() >= next_sample) {
-        sample(engine.steps(), engine.num_agents(), engine.counts());
-        next_sample = engine.steps() + stride;
-      }
-    }
-    sample(engine.steps(), engine.num_agents(), engine.counts());
-    result.status = engine.all_same_output() ? RunStatus::kConverged
-                                             : RunStatus::kStepLimit;
-    result.decided = engine.dominant_output();
-    result.interactions = engine.steps();
-    result.parallel_time = engine.parallel_time();
+    const RunResult result = *run_to_convergence_interruptible(
+        engine, rng, max_interactions,
+        [&] {
+          if (engine.steps() >= next_sample) {
+            take_sample();
+            next_sample = engine.steps() + stride;
+          }
+          return false;
+        },
+        1);
+    take_sample();
     return result;
   }
 

@@ -7,10 +7,9 @@
 //     w(a′) + w(b′) = w(a) + w(b),
 //
 // a purely local, exhaustively checkable condition — s² equations, no
-// simulation. This is the static counterpart of the trajectory checker in
-// analysis/invariants.hpp: where that spot-checks Invariant 4.3 along
-// sampled runs, check_conservation *proves* it for all runs at once
-// (the paper's Invariant 4.3 is exactly the statement for w = value).
+// simulation. Where faults::InvariantMonitor watches Φ along one run,
+// check_conservation *proves* it for all runs at once (the paper's
+// Invariant 4.3 is exactly the statement for w = value).
 #pragma once
 
 #include <cstddef>

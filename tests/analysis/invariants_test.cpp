@@ -1,10 +1,14 @@
-#include "analysis/invariants.hpp"
-
+// The AVC sum invariant (paper Invariant 4.3) as a verify::LinearInvariant,
+// and TraceRecorder as the way to watch it along a run.
 #include <gtest/gtest.h>
 
 #include "core/avc.hpp"
+#include "core/avc_observables.hpp"
 #include "population/count_engine.hpp"
+#include "population/skip_engine.hpp"
+#include "population/trace.hpp"
 #include "util/rng.hpp"
+#include "verify/builtin_invariants.hpp"
 
 namespace popbean {
 namespace {
@@ -14,51 +18,52 @@ using avc::AvcProtocol;
 TEST(AvcSumInvariantTest, HoldsOnInitialConfiguration) {
   AvcProtocol protocol(5, 1);
   const Counts initial = majority_instance_with_margin(protocol, 20, 4);
-  AvcSumInvariant invariant(protocol, initial);
-  EXPECT_EQ(invariant.expected(), 20);
-  EXPECT_TRUE(invariant.holds(initial));
+  EXPECT_EQ(verify::avc_sum_invariant(protocol).value(initial), 20);
 }
 
 TEST(AvcSumInvariantTest, DetectsViolation) {
   AvcProtocol protocol(5, 1);
   const Counts initial = majority_instance_with_margin(protocol, 20, 4);
-  AvcSumInvariant invariant(protocol, initial);
+  const verify::LinearInvariant invariant = verify::avc_sum_invariant(protocol);
   Counts corrupted = initial;
   // Move one agent from +5 to -5: the sum drops by 10.
   --corrupted[protocol.codec().from_value(5)];
   ++corrupted[protocol.codec().from_value(-5)];
-  EXPECT_FALSE(invariant.holds(corrupted));
+  EXPECT_EQ(invariant.value(corrupted), invariant.value(initial) - 10);
 }
 
 TEST(InspectTrajectoryTest, CallsInspectorAtLeastTwice) {
   AvcProtocol protocol(3, 1);
   CountEngine<AvcProtocol> engine(
       protocol, majority_instance_with_margin(protocol, 20, 2));
+  TraceRecorder recorder({avc::total_value(protocol)});
   Xoshiro256ss rng(95);
-  int calls = 0;
-  inspect_trajectory(engine, rng, 1000, 10,
-                     [&](const Counts&) { ++calls; });
-  EXPECT_GE(calls, 2);
+  recorder.record(engine, rng, 10, 1000);
+  EXPECT_GE(recorder.points().size(), 2u);
 }
 
 TEST(InspectTrajectoryTest, StopsAtStepBudget) {
+  // A skip-engine jump that would land past the budget is cut at it.
   AvcProtocol protocol(3, 1);
-  CountEngine<AvcProtocol> engine(
+  SkipEngine<AvcProtocol> engine(
       protocol, majority_instance_with_margin(protocol, 1000, 2));
+  TraceRecorder recorder({avc::total_value(protocol)});
   Xoshiro256ss rng(96);
-  const std::uint64_t steps =
-      inspect_trajectory(engine, rng, 500, 100, [](const Counts&) {});
-  EXPECT_EQ(steps, 500u);
+  const RunResult result = recorder.record(engine, rng, 100, 500);
+  EXPECT_EQ(result.status, RunStatus::kStepLimit);
+  EXPECT_EQ(result.interactions, 500u);
+  EXPECT_EQ(recorder.points().back().interactions, 500u);
 }
 
 TEST(InspectTrajectoryTest, StopsAtConvergence) {
   AvcProtocol protocol(1, 1);
   CountEngine<AvcProtocol> engine(
       protocol, majority_instance_with_margin(protocol, 10, 10));
+  TraceRecorder recorder({avc::total_value(protocol)});
   Xoshiro256ss rng(97);
-  const std::uint64_t steps =
-      inspect_trajectory(engine, rng, 1'000'000, 10, [](const Counts&) {});
-  EXPECT_EQ(steps, 0u);  // unanimous start: already converged
+  const RunResult result = recorder.record(engine, rng, 10, 1'000'000);
+  EXPECT_TRUE(result.converged());
+  EXPECT_EQ(result.interactions, 0u);  // unanimous start: already converged
 }
 
 }  // namespace

@@ -2,13 +2,15 @@
 // simulated trajectories on every engine.
 #include <gtest/gtest.h>
 
-#include "analysis/invariants.hpp"
 #include "core/avc.hpp"
+#include "core/avc_observables.hpp"
 #include "population/agent_engine.hpp"
 #include "population/configuration.hpp"
 #include "population/count_engine.hpp"
 #include "population/skip_engine.hpp"
+#include "population/trace.hpp"
 #include "util/rng.hpp"
+#include "verify/builtin_invariants.hpp"
 
 namespace popbean {
 namespace {
@@ -24,6 +26,30 @@ TEST(AvcInvariantTest, InitialSumIsMarginTimesM) {
   EXPECT_EQ(protocol.total_value(counts_b), -10 * 7);
 }
 
+// Records Φ (the invariant) and the population size every `stride`
+// interactions of a run on `engine`, and checks both stay at their initial
+// values.
+template <EngineLike E>
+void expect_sum_conserved(E& engine, const AvcProtocol& protocol,
+                          const Counts& initial, std::uint64_t seed,
+                          std::uint64_t stride) {
+  const verify::LinearInvariant invariant = verify::avc_sum_invariant(protocol);
+  TraceRecorder recorder(
+      {{"sum",
+        [&](const Counts& c) { return static_cast<double>(invariant.value(c)); }},
+       {"n", [](const Counts& c) {
+          return static_cast<double>(population_size(c));
+        }}});
+  Xoshiro256ss rng(seed);
+  recorder.record(engine, rng, stride, 200'000);
+  const double expected = static_cast<double>(invariant.value(initial));
+  ASSERT_GE(recorder.points().size(), 2u);
+  for (const TracePoint& point : recorder.points()) {
+    ASSERT_EQ(point.values[0], expected) << "at " << point.interactions;
+    ASSERT_EQ(point.values[1], static_cast<double>(population_size(initial)));
+  }
+}
+
 class AvcInvariantTrajectoryTest
     : public ::testing::TestWithParam<std::tuple<int, int, std::uint64_t>> {};
 
@@ -31,40 +57,24 @@ TEST_P(AvcInvariantTrajectoryTest, SumConservedOnAgentEngine) {
   const auto [m, d, seed] = GetParam();
   AvcProtocol protocol(m, d);
   const Counts initial = majority_instance_with_margin(protocol, 60, 4);
-  AvcSumInvariant invariant(protocol, initial);
   AgentEngine<AvcProtocol> engine(protocol, initial);
-  Xoshiro256ss rng(seed);
-  inspect_trajectory(engine, rng, 200'000, 97,
-                     [&](const Counts& counts) {
-                       ASSERT_TRUE(invariant.holds(counts));
-                       ASSERT_EQ(population_size(counts), 60u);
-                     });
+  expect_sum_conserved(engine, protocol, initial, seed, 97);
 }
 
 TEST_P(AvcInvariantTrajectoryTest, SumConservedOnCountEngine) {
   const auto [m, d, seed] = GetParam();
   AvcProtocol protocol(m, d);
   const Counts initial = majority_instance_with_margin(protocol, 60, 4);
-  AvcSumInvariant invariant(protocol, initial);
   CountEngine<AvcProtocol> engine(protocol, initial);
-  Xoshiro256ss rng(seed + 1);
-  inspect_trajectory(engine, rng, 200'000, 101,
-                     [&](const Counts& counts) {
-                       ASSERT_TRUE(invariant.holds(counts));
-                     });
+  expect_sum_conserved(engine, protocol, initial, seed + 1, 101);
 }
 
 TEST_P(AvcInvariantTrajectoryTest, SumConservedOnSkipEngine) {
   const auto [m, d, seed] = GetParam();
   AvcProtocol protocol(m, d);
   const Counts initial = majority_instance_with_margin(protocol, 60, 4);
-  AvcSumInvariant invariant(protocol, initial);
   SkipEngine<AvcProtocol> engine(protocol, initial);
-  Xoshiro256ss rng(seed + 2);
-  inspect_trajectory(engine, rng, 200'000, 1,
-                     [&](const Counts& counts) {
-                       ASSERT_TRUE(invariant.holds(counts));
-                     });
+  expect_sum_conserved(engine, protocol, initial, seed + 2, 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -81,14 +91,12 @@ TEST(AvcInvariantTest, MajoritySignSurvivorExistsThroughoutRun) {
   AvcProtocol protocol(9, 2);
   const Counts initial = majority_instance_with_margin(protocol, 40, 2);
   CountEngine<AvcProtocol> engine(protocol, initial);
+  TraceRecorder recorder({avc::strictly_positive_nodes(protocol)});
   Xoshiro256ss rng(501);
-  inspect_trajectory(engine, rng, 500'000, 50, [&](const Counts& counts) {
-    std::uint64_t strictly_positive = 0;
-    for (State q = 0; q < counts.size(); ++q) {
-      if (protocol.value_of(q) > 0) strictly_positive += counts[q];
-    }
-    ASSERT_GE(strictly_positive, 1u);
-  });
+  recorder.record(engine, rng, 50, 500'000);
+  for (const TracePoint& point : recorder.points()) {
+    ASSERT_GE(point.values[0], 1.0) << "at " << point.interactions;
+  }
 }
 
 }  // namespace

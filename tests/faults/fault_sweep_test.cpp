@@ -1,6 +1,7 @@
-// run_fault_sweep end-to-end on small populations: the rate-0 column is a
-// perfect control, positive rates register faults and invariant violations,
-// results are deterministic in the seed, and the JSON report is well formed.
+// run_fault_sweep_recoverable without recovery options, end-to-end on small
+// populations: the rate-0 column is a perfect control, positive rates
+// register faults and invariant violations, results are deterministic in the
+// seed, and the JSON report is well formed.
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -33,10 +34,12 @@ std::vector<FaultSweepPoint> corruption_sweep(
     ThreadPool& pool, const std::vector<double>& rates,
     const FaultSweepConfig& config) {
   const avc::AvcProtocol protocol(3, 1);
-  return run_fault_sweep(
-      pool, protocol, verify::avc_sum_invariant(protocol), rates, config,
-      [](double rate) { return faults::TransientCorruption(rate); },
-      [] { return faults::UniformSchedule{}; });
+  return run_fault_sweep_recoverable(
+             pool, protocol, verify::avc_sum_invariant(protocol), "avc", rates,
+             config, FaultSweepRecovery{},
+             [](double rate) { return faults::TransientCorruption(rate); },
+             [] { return faults::UniformSchedule{}; })
+      .points;
 }
 
 TEST(FaultSweepTest, RateZeroIsAPerfectControl) {
@@ -123,10 +126,15 @@ TEST(FaultSweepTest, AdversaryScheduleCountsDelays) {
   config.replicates = 4;
   config.max_interactions = 100 * config.n;
   const MajorityInstance instance = make_instance(config.n, config.epsilon);
-  const auto points = run_fault_sweep(
-      pool, protocol, verify::avc_sum_invariant(protocol), {0.0}, config,
-      [](double) { return faults::NoFaults{}; },
-      [&] { return faults::BoundedAdversary(instance.correct_output(), 8); });
+  const auto points =
+      run_fault_sweep_recoverable(
+          pool, protocol, verify::avc_sum_invariant(protocol), "avc", {0.0},
+          config, FaultSweepRecovery{},
+          [](double) { return faults::NoFaults{}; },
+          [&] {
+            return faults::BoundedAdversary(instance.correct_output(), 8);
+          })
+          .points;
   ASSERT_EQ(points.size(), 1u);
   // The adversary reorders but never edits: no faults, no violations, no
   // wrong decisions — only delays.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/avc.hpp"
+#include "core/avc_observables.hpp"
 #include "population/count_engine.hpp"
 #include "population/skip_engine.hpp"
 #include "protocols/four_state.hpp"
@@ -92,6 +94,24 @@ TEST(TraceTest, RespectsStepBudget) {
   const RunResult cut = skip_recorder.record(skip, rng, 100, 500);
   EXPECT_EQ(cut.status, RunStatus::kStepLimit);
   EXPECT_EQ(cut.interactions, 500u);
+}
+
+TEST(TraceTest, ReportsAbsorbingOnTiedInput) {
+  // A tied AVC input keeps its value sum at 0 (Invariant 4.3), so the run
+  // ends in a mixed absorbing configuration; the trace reports it as such,
+  // like run_to_convergence, and not as an exhausted budget.
+  const avc::AvcProtocol protocol(3, 1);
+  SkipEngine<avc::AvcProtocol> engine(protocol,
+                                      majority_instance(protocol, 20, 10));
+  TraceRecorder recorder({avc::total_value(protocol)});
+  Xoshiro256ss rng(1101);
+  const RunResult result = recorder.record(engine, rng, 10, 1'000'000'000);
+  EXPECT_EQ(result.status, RunStatus::kAbsorbing);
+  EXPECT_LT(result.interactions, 1'000'000'000u);
+  EXPECT_EQ(recorder.points().back().interactions, result.interactions);
+  for (const TracePoint& point : recorder.points()) {
+    EXPECT_EQ(point.values[0], 0.0);
+  }
 }
 
 }  // namespace

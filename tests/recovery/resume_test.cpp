@@ -147,17 +147,21 @@ TEST_F(ResumeTest, FingerprintMismatchRefusesToResume) {
 }
 
 TEST_F(ResumeTest, RecoverableSweepMatchesPlainSweepExactly) {
+  // Checkpointing every cell changes nothing in the aggregate: a sweep
+  // without a manifest and one that writes every cell agree bit-for-bit.
   ThreadPool pool(2);
-  const avc::AvcProtocol protocol(3, 1);
   const FaultSweepConfig config = small_config();
-  const std::vector<FaultSweepPoint> plain = run_fault_sweep(
-      pool, protocol, verify::avc_sum_invariant(protocol), kRates, config,
-      [](double rate) { return faults::TransientCorruption(rate); },
-      [] { return faults::UniformSchedule{}; });
-  const FaultSweepOutcome recoverable =
+  const FaultSweepOutcome plain =
       recoverable_sweep(pool, FaultSweepRecovery{}, config);
+  FaultSweepRecovery checkpointed;
+  checkpointed.manifest_path = manifest_;
+  checkpointed.checkpoint_every = 1;
+  const FaultSweepOutcome recoverable =
+      recoverable_sweep(pool, checkpointed, config);
+  EXPECT_TRUE(plain.report.complete());
   EXPECT_TRUE(recoverable.report.complete());
-  expect_points_identical(plain, recoverable.points);
+  EXPECT_EQ(recoverable.report.completed, kRates.size() * config.replicates);
+  expect_points_identical(plain.points, recoverable.points);
 }
 
 TEST_F(ResumeTest, KilledSweepResumesToBitIdenticalAggregate) {
