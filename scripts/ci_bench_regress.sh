@@ -19,6 +19,11 @@
 # count/avc_nstate, skip/avc63) are present, and so is every baseline case.
 # A failed shape check fails the job.
 #
+# After the comparison the script also prints, for reading only, the median
+# ratio over all cases and each case's ratio divided by that median: a host
+# that runs slower across the board moves the median, while a regression in
+# one case stands out from it. These lines never change the verdict.
+#
 # Usage: scripts/ci_bench_regress.sh [path/to/engine_microbench]
 #   BENCH_BASELINE=path   baseline report (default BENCH_baseline.json)
 #   BENCH_REPORT=path     keep this run's report there (default: a temp file
@@ -88,7 +93,7 @@ fi
 
 echo "=== compare ns/interaction vs $BASELINE (±${TOLERANCE_PCT}%) ==="
 python3 - "$BASELINE" "$REPORT" "$TOLERANCE_PCT" <<'EOF'
-import json, sys
+import json, statistics, sys
 
 baseline_path, report_path, tolerance_pct = sys.argv[1:4]
 tolerance = float(tolerance_pct) / 100.0
@@ -107,12 +112,12 @@ now = ns_per_unit(json.load(open(report_path)))
 missing = sorted(set(base) - set(now))
 for name in missing:
     print(f"MISSING {name}: baseline case absent from this run")
-regressions, improvements, compared = [], [], 0
+regressions, improvements, ratios = [], [], {}
 for name, base_ns in sorted(base.items()):
     if name not in now:
         continue
-    compared += 1
     ratio = now[name] / base_ns
+    ratios[name] = ratio
     line = f"{name}: {base_ns:9.3f} -> {now[name]:9.3f} ns/unit ({ratio:5.2f}x)"
     if ratio > 1.0 + tolerance:
         regressions.append(line)
@@ -123,7 +128,13 @@ for name, base_ns in sorted(base.items()):
     else:
         print("ok        ", line)
 
+compared = len(ratios)
 assert compared > 0, "no comparable cases between baseline and this run"
+median = statistics.median(ratios.values())
+print(f"\nreport only: median ratio {median:.2f}x over {compared} cases; "
+      "each case's ratio / median:")
+for name, ratio in sorted(ratios.items()):
+    print(f"  {name}: {ratio / median:5.2f}")
 if improvements:
     print(f"\nnote: {len(improvements)} case(s) beat the baseline by more "
           f"than {tolerance_pct}% — refresh BENCH_baseline.json "

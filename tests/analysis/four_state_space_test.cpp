@@ -1,11 +1,20 @@
 // Executable reproduction of the structure behind Theorem B.1 (Ω(1/ε) for
-// four-state exact majority): a model checker over candidate four-state
-// algorithms plus the paper's structural claims.
-#include "analysis/four_state_space.hpp"
+// four-state exact majority): every candidate four-state algorithm is run
+// through the exhaustive model checker (verify/model_check.hpp), next to
+// the paper's structural claims B.5, B.8 and B.9. The ConfigurationGraphTest
+// cases exercise correct_up_to, verify::check_model and ExactChain on the
+// four-state configuration graphs.
+#include "verify/four_state_space.hpp"
 
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "analysis/exact_markov.hpp"
+#include "population/configuration.hpp"
+#include "protocols/four_state.hpp"
+#include "verify/model_check.hpp"
 
 namespace popbean::fourstate {
 namespace {
@@ -62,10 +71,46 @@ TEST(FourStateTableTest, PotentialDetectedWhenPresent) {
   EXPECT_LT((*pot)[kY], 0);
 }
 
+TEST(FourStateTableTest, Dv12IsTheSimulatedFourStateProtocol) {
+  // S0 -> B, S1 -> A, X -> b, Y -> a: the normal form's DV12 is the
+  // protocol the engines run (Fig. 3), not a lookalike.
+  const State to_protocol[4] = {
+      FourStateProtocol::kStrongB, FourStateProtocol::kStrongA,
+      FourStateProtocol::kWeakB, FourStateProtocol::kWeakA};
+  const FourStateTable dv12 = FourStateTable::dv12();
+  const FourStateProtocol protocol;
+  for (const Opinion opinion : {Opinion::A, Opinion::B}) {
+    EXPECT_EQ(to_protocol[dv12.initial_state(opinion)],
+              protocol.initial_state(opinion));
+  }
+  for (State a = 0; a < 4; ++a) {
+    EXPECT_EQ(dv12.output(a), protocol.output(to_protocol[a]));
+    for (State b = 0; b < 4; ++b) {
+      const Transition t = dv12.apply(a, b);
+      const Transition u = protocol.apply(to_protocol[a], to_protocol[b]);
+      EXPECT_EQ((std::multiset<State>{to_protocol[t.initiator],
+                                      to_protocol[t.responder]}),
+                (std::multiset<State>{u.initiator, u.responder}))
+          << dv12.state_name(a) << " + " << dv12.state_name(b);
+    }
+  }
+  verify::ModelCheckOptions options;
+  options.max_n = 8;
+  verify::Report table_report;
+  verify::Report protocol_report;
+  const verify::ModelCheckSummary table =
+      verify::check_model(dv12, table_report, options).summary;
+  const verify::ModelCheckSummary simulated =
+      verify::check_model(protocol, protocol_report, options).summary;
+  EXPECT_EQ(table.searched_up_to, 8u);
+  EXPECT_EQ(table.nodes, simulated.nodes);
+  EXPECT_EQ(table.edges, simulated.edges);
+  EXPECT_EQ(table.terminal_sccs, simulated.terminal_sccs);
+}
+
 TEST(ConfigurationGraphTest, EnumeratesAllConfigurations) {
-  ConfigurationGraph graph(FourStateTable::dv12(), 4);
   // C(4+3,3) = 35 compositions of 4 into 4 parts.
-  EXPECT_EQ(graph.num_configs(), 35u);
+  EXPECT_EQ(ExactChain(FourStateTable::dv12(), 4).num_configs(), 35u);
 }
 
 TEST(ConfigurationGraphTest, Dv12IsCorrectForSmallPopulations) {
@@ -73,9 +118,16 @@ TEST(ConfigurationGraphTest, Dv12IsCorrectForSmallPopulations) {
 }
 
 TEST(ConfigurationGraphTest, IdentityAlgorithmIsIncorrect) {
-  // The do-nothing algorithm can never converge from a mixed start.
-  EXPECT_FALSE(
-      ConfigurationGraph(FourStateTable(), 3).satisfies_majority_correctness());
+  // The do-nothing algorithm can never converge from a mixed start: every
+  // mixed initial split is its own terminal, mixed-output component.
+  verify::ModelCheckOptions options;
+  options.max_n = 3;
+  verify::Report report;
+  const auto summary = verify::check_model(FourStateTable(), report, options)
+                           .summary;
+  EXPECT_GT(summary.livelocks, 0u);
+  EXPECT_EQ(summary.wrong_stable, 0u);
+  EXPECT_FALSE(correct_up_to(FourStateTable(), 3));
 }
 
 TEST(ConfigurationGraphTest, VoterStyleAlgorithmIsIncorrect) {
@@ -83,8 +135,12 @@ TEST(ConfigurationGraphTest, VoterStyleAlgorithmIsIncorrect) {
   // majority-S1 start). Cf. Corollary B.3.
   FourStateTable table;
   table.set(kS0, kS1, kS0, kS0);
-  EXPECT_FALSE(
-      ConfigurationGraph(table, 3).satisfies_majority_correctness());
+  verify::ModelCheckOptions options;
+  options.max_n = 3;
+  verify::Report report;
+  EXPECT_GT(verify::check_model(table, report, options).summary.wrong_stable,
+            0u);
+  EXPECT_FALSE(correct_up_to(table, 3));
 }
 
 TEST(ConfigurationGraphTest, ThreeStateStyleAlgorithmIsIncorrect) {
@@ -96,31 +152,30 @@ TEST(ConfigurationGraphTest, ThreeStateStyleAlgorithmIsIncorrect) {
   table.set(kS0, kS1, kX, kX);
   table.set(kS0, kX, kS0, kS0);
   table.set(kS1, kX, kS1, kS1);
-  bool correct = true;
-  for (std::uint32_t n = 2; n <= 7 && correct; ++n) {
-    correct = ConfigurationGraph(table, n).satisfies_majority_correctness();
-  }
-  EXPECT_FALSE(correct);
+  EXPECT_FALSE(correct_up_to(table, 7));
 }
 
 TEST(ConfigurationGraphTest, CommittedSetsOfDv12AreMonochrome) {
-  ConfigurationGraph graph(FourStateTable::dv12(), 5);
-  for (int o = 0; o < 2; ++o) {
-    const auto& committed = graph.committed(o);
-    for (std::size_t i = 0; i < graph.num_configs(); ++i) {
-      if (committed[i]) {
-        EXPECT_TRUE(graph.config_at(i).unanimous(o));
-      }
-    }
-  }
+  // Every terminal component reachable from a non-tie split is unanimous
+  // for that split's majority, so the absorbing sets C_o are monochrome.
+  verify::ModelCheckOptions options;
+  options.max_n = 5;
+  verify::Report report;
+  const auto summary =
+      verify::check_model(FourStateTable::dv12(), report, options).summary;
+  EXPECT_EQ(summary.wrong_stable, 0u);
+  EXPECT_EQ(summary.livelocks, 0u);
+  // #S0 − #S1 is conserved, so each split has exactly one terminal
+  // configuration: the surviving strong opinion with every weak agent.
+  EXPECT_EQ(summary.correct_stable, summary.splits);
+  EXPECT_EQ(report.count_check("model_check.certified"), 1u);
 }
 
 TEST(ConfigurationGraphTest, ReachabilityContainsStart) {
-  ConfigurationGraph graph(FourStateTable::dv12(), 5);
-  Config start;
-  start.count = {3, 2, 0, 0};
-  const auto reach = graph.reachable_from(start);
-  EXPECT_TRUE(reach[graph.index_of(start)]);
+  const ExactChain chain(FourStateTable::dv12(), 5);
+  const Counts start = {3, 2, 0, 0};
+  const auto reach = chain.reachable_from(start);
+  EXPECT_TRUE(reach[chain.index_of(start)]);
 }
 
 // --- The main event: exhaustive enumeration ---------------------------------
@@ -163,10 +218,9 @@ TEST(FourStateEnumerationTest, AllCorrectCandidatesConserveStrongDifference) {
     }
   }
   EXPECT_EQ(correct_without_invariant, 0);
-  // DV12 itself must be among the survivors.
-  EXPECT_GE(correct_count, 1);
-  // The proof's case analysis finds only a handful of correct families.
-  EXPECT_LE(correct_count, 64);
+  // The proof's case analysis leaves a handful of correct families; DV12 is
+  // one of the 18 survivors.
+  EXPECT_EQ(correct_count, 18);
 }
 
 TEST(FourStateEnumerationTest, PerturbingSameOutputPairsBreaksDv12) {

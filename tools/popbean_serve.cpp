@@ -55,6 +55,7 @@
 //   --idle-timeout-ms=MS   reap idle connections (default 30000)
 //   --read-deadline-ms=MS  torn-frame cutoff (default 10000)
 //   --write-deadline-ms=MS write-stall cutoff before a slow-client shed
+//                          (default 10000)
 //   --force-poll           use the poll(2) event loop even where epoll
 //                          exists (portability testing)
 //   --threads=T            worker threads per shard (default: hardware)
@@ -63,9 +64,11 @@
 //   --shed=POLICY          reject-newest | deadline-aware | client-quota
 //   --client-quota=K       per-client queued-job cap (client-quota policy)
 //   --max-retries=K        retry budget per job (default 2)
-//   --default-deadline-ms=MS  deadline for jobs that carry none (0 = none)
+//   --default-deadline-ms=MS  deadline for jobs that carry none (default
+//                             10000; 0 = unlimited)
 //   --drain-deadline-ms=MS    shutdown drain budget (default 5000)
 //   --breaker-failures=K   consecutive failures that open a breaker
+//                          (default 5)
 //   --breaker-cooldown-ms=MS  open → half-open cooldown (default 2000)
 //   --replicas=K           vote replicas per attempt (odd; default 1 = off)
 //   --quarantine-divergences=K  windowed divergences that quarantine a
