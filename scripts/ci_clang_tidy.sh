@@ -28,9 +28,9 @@ fi
 SOURCES=(
   src/verify/finding.cpp
   src/verify/stoichiometry.cpp
+  src/verify/four_state_space.cpp
   src/analysis/exact_markov.cpp
-  src/analysis/mean_field.cpp
-  src/analysis/spectral.cpp
+  src/analysis/knowledge.cpp
   tools/popbean_lint.cpp
 )
 for f in "${SOURCES[@]}"; do

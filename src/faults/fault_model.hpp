@@ -74,9 +74,9 @@ inline State sample_mobile(const FaultView& view, Xoshiro256ss& rng) {
       [&](State q) { return view.mobile(q); }, rng);
 }
 
-// A fault model: `active()` gates all per-step work (a model with every rate
-// at zero reports false and the adapter stays in pure passthrough),
-// `on_init` fires once after construction (one-shot faults such as stuck-at
+// A fault model: `active()` reports whether any rate is nonzero (a fault
+// sweep runs an inactive model under the uniform schedule on the plain
+// count engine, as its unperturbed control), `on_init` fires once after construction (one-shot faults such as stuck-at
 // marking), `before_step` fires before every interaction.
 template <typename F>
 concept FaultModelLike =

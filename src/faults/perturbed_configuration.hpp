@@ -34,8 +34,6 @@ class PerturbedConfiguration {
   // Why a decision is infeasible; nullptr when it was applied.
   using Rejection = const char*;
 
-  PerturbedConfiguration() = default;
-
   template <ProtocolLike P>
   PerturbedConfiguration(const P& protocol, Counts initial)
       : counts_(std::move(initial)),
@@ -45,6 +43,7 @@ class PerturbedConfiguration {
         camp_(counts_.size()),
         num_agents_(population_size(counts_)) {
     POPBEAN_CHECK(counts_.size() == protocol.num_states());
+    POPBEAN_CHECK(num_agents_ >= 2);
     for (State q = 0; q < camp_.size(); ++q) {
       camp_[q] = protocol.output(q) == 0 ? 0 : 1;
     }
@@ -150,7 +149,6 @@ class PerturbedConfiguration {
     stuck_ = in.vec_u64();
     active_ = in.vec_u64();
     const std::size_t s = camp_.size();
-    if (s == 0) return;  // a passthrough adapter keeps no configuration
     POPBEAN_CHECK_MSG(counts.size() == s && frozen_.size() == s &&
                           stuck_.size() == s && active_.size() == s,
                       "snapshot configuration arity does not match the "

@@ -1,26 +1,19 @@
-// PerturbedEngine: the adapter that composes a base engine, a fault model,
-// and a schedule model into something that still satisfies EngineLike — so
+// PerturbedEngine: a protocol run at the counts level under a fault model
+// and a schedule model, behind the EngineLike surface — so
 // run_to_convergence, the harness, and the trace machinery drive perturbed
 // runs unchanged.
 //
-// Two operating modes, fixed at construction:
+// The adapter only samples: fault events from the fault model, the
+// interacting pair from the schedule, stubbornness on the fault stream. It
+// feeds each draw to a PerturbedConfiguration (perturbed_configuration.hpp),
+// which owns the run's configuration and output tally and answers
+// all_same_output / dominant_output / counts. An unperturbed control (the
+// rate-0 column of a fault sweep) runs on a plain engine instead
+// (harness/fault_sweep.hpp), so its trajectory is the engine's own.
 //
-//   * Pure passthrough — the schedule delegates (UniformSchedule) and the
-//     fault model reports inactive. Every step() is forwarded verbatim to
-//     the base engine on the caller's rng, so the trajectory is bit-for-bit
-//     the unperturbed one (the zero-rate identity the tests pin down).
-//
-//   * Counts-level stepping — any active fault model or non-delegating
-//     schedule. The adapter only samples: fault events from the fault model,
-//     the interacting pair from the schedule, stubbornness on the fault
-//     stream. It feeds each draw to a PerturbedConfiguration
-//     (perturbed_configuration.hpp), which owns the run's configuration and
-//     output tally and answers all_same_output / dominant_output / counts.
-//     The base engine is left as constructed.
-//
-// Randomness is strictly stream-separated (util/rng.hpp split): the caller's
-// rng is the engine stream, faults draw from split(kFaultStream), the
-// scheduler from split(kScheduleStream). Injecting a fault can therefore
+// Randomness is strictly stream-separated (util/rng.hpp split) off the
+// caller's root rng: faults draw from split(kFaultStream), the scheduler
+// from split(kScheduleStream). Injecting a fault can therefore
 // never perturb scheduling decisions, and vice versa.
 //
 // Fault semantics at the counts level are PerturbedConfiguration's
@@ -51,7 +44,7 @@
 
 namespace popbean::faults {
 
-// Observer of the adapter's per-step decisions in counts mode: every applied
+// Observer of the adapter's per-step decisions: every applied
 // fault event and every scheduled interaction (with its stubborn-suppression
 // flags). The record/replay subsystem (src/recovery) implements this to
 // capture an event log from which a run reconstructs bit-exactly without
@@ -64,61 +57,41 @@ class StepObserver {
                               bool initiator_stuck, bool responder_stuck) = 0;
 };
 
-// An engine the adapter can wrap: the EngineLike surface plus read access to
-// the configuration and protocol it was built with.
-template <typename E>
-concept PerturbableEngineLike = EngineLike<E> && requires(E engine) {
-  { engine.protocol().num_states() } -> std::convertible_to<std::size_t>;
-  { engine.counts() } -> std::convertible_to<Counts>;
-};
-
-template <PerturbableEngineLike E, FaultModelLike F, ScheduleModelLike S>
+template <ProtocolLike P, FaultModelLike F, ScheduleModelLike S>
 class PerturbedEngine {
  public:
-  // Stream ids split off the caller's root rng; the root itself (engine
-  // stream) is left untouched and keeps driving step().
+  // Stream ids split off the caller's root rng; the adapter never advances
+  // the root itself.
   static constexpr std::uint64_t kFaultStream = 1;
   static constexpr std::uint64_t kScheduleStream = 2;
 
-  PerturbedEngine(E base, F faults, S schedule, const Xoshiro256ss& root)
-      : base_(std::move(base)),
+  PerturbedEngine(P protocol, const Counts& initial, F faults, S schedule,
+                  const Xoshiro256ss& root)
+      : protocol_(std::move(protocol)),
         faults_(std::move(faults)),
         schedule_(std::move(schedule)),
         fault_rng_(root.split(kFaultStream)),
         sched_rng_(root.split(kScheduleStream)),
-        num_agents_(base_.num_agents()),
-        passthrough_(S::kDelegates && !faults_.active()) {
-    if (passthrough_) return;
-    config_ = PerturbedConfiguration(base_.protocol(), base_.counts());
+        config_(protocol_, initial) {
     faults_.on_init(view(), fault_rng_, events_);
     apply_events();
   }
 
   // --- EngineLike surface ---------------------------------------------------
 
-  std::uint64_t num_agents() const noexcept { return num_agents_; }
-  std::uint64_t steps() const noexcept {
-    return passthrough_ ? base_.steps() : steps_;
-  }
+  std::uint64_t num_agents() const noexcept { return view().num_agents; }
+  std::uint64_t steps() const noexcept { return steps_; }
   double parallel_time() const noexcept {
-    return static_cast<double>(steps()) / static_cast<double>(num_agents_);
+    return static_cast<double>(steps_) / static_cast<double>(num_agents());
   }
-  bool all_same_output() const noexcept {
-    return passthrough_ ? base_.all_same_output() : config_.all_same_output();
-  }
-  Output dominant_output() const noexcept {
-    return passthrough_ ? base_.dominant_output() : config_.dominant_output();
-  }
+  bool all_same_output() const noexcept { return config_.all_same_output(); }
+  Output dominant_output() const noexcept { return config_.dominant_output(); }
   std::uint64_t output_agents(Output output) const noexcept {
-    return passthrough_ ? base_.output_agents(output)
-                        : config_.output_agents(output);
+    return config_.output_agents(output);
   }
 
-  void step(Xoshiro256ss& rng) {
-    if (passthrough_) {
-      base_.step(rng);
-      return;
-    }
+  // The caller's rng is unused: every draw is on the split streams.
+  void step(Xoshiro256ss&) {
     events_.clear();
     faults_.before_step(view(), fault_rng_, events_);
     if (!events_.empty()) apply_events();
@@ -135,8 +108,6 @@ class PerturbedEngine {
     POPBEAN_CHECK_MSG(rejected == nullptr, rejected);
     if (observer_ != nullptr) observer_->on_interaction(a, b, a_stuck, b_stuck);
     if (monitor_ != nullptr) monitor_->check(steps_);
-    // In counts mode the adapter owns the dynamics, so the scheduled pair is
-    // classified here (passthrough delegates to the base, which records).
     POPBEAN_OBS_HOOK(if (probe_ != nullptr) {
       probe_->record(is_null(protocol().apply(a, b), a, b)
                          ? obs::ReactionKind::kNull
@@ -148,14 +119,9 @@ class PerturbedEngine {
 
   // --- perturbation surface -------------------------------------------------
 
-  // The wrapped engine; counts mode leaves it as constructed.
-  const E& base() const noexcept { return base_; }
-  const auto& protocol() const noexcept { return base_.protocol(); }
-  Counts counts() const {
-    return passthrough_ ? Counts(base_.counts()) : config_.counts();
-  }
+  const P& protocol() const noexcept { return protocol_; }
+  Counts counts() const { return config_.counts(); }
 
-  bool passthrough() const noexcept { return passthrough_; }
   const FaultCounters& fault_counters() const noexcept { return counters_; }
   const FaultLog& fault_log() const noexcept { return log_; }
   std::uint64_t frozen_agents() const noexcept { return view().frozen_count; }
@@ -168,33 +134,13 @@ class PerturbedEngine {
     config_.attach_monitor(monitor);
   }
 
-  // Attaches an interaction probe (src/obs). In passthrough mode the probe
-  // is forwarded to the base engine, which records each delegated step; in
-  // counts mode the adapter records the pairs it schedules itself — exactly
-  // one of the two paths is live, so interactions are never double-counted.
-  void attach_probe(obs::EngineProbe* probe) noexcept {
-    if (passthrough_) {
-      if constexpr (requires(E& e) { e.attach_probe(probe); }) {
-        base_.attach_probe(probe);
-        return;
-      }
-    }
-    probe_ = probe;
-  }
-
-  // Attach an event recorder. Counts mode only: a passthrough adapter
-  // delegates whole steps to the base engine, so there are no step-level
-  // decisions to observe (and nothing perturbed to replay).
-  void attach_observer(StepObserver* observer) {
-    POPBEAN_CHECK_MSG(observer == nullptr || !passthrough_,
-                      "cannot observe a passthrough adapter: attach an active "
-                      "fault model or a non-delegating schedule");
-    observer_ = observer;
-  }
+  // The probe (src/obs) records each scheduled pair; the observer
+  // (src/recovery) each applied decision.
+  void attach_probe(obs::EngineProbe* probe) noexcept { probe_ = probe; }
+  void attach_observer(StepObserver* observer) { observer_ = observer; }
 
   // --- snapshot hooks (src/recovery) ---------------------------------------
-  // Serializes the base engine's state (in counts mode, the engine as
-  // constructed), both split rng streams, the counts-level configuration,
+  // Serializes both split rng streams, the counts-level configuration,
   // the fault counters, and any mutable model state (schedule models like
   // EpidemicRounds carry per-run state). The bounded FaultLog is *not* part
   // of a snapshot — it is reporting state, not dynamics; use the
@@ -203,8 +149,6 @@ class PerturbedEngine {
   static constexpr std::string_view kSnapshotKind = "engine/perturbed";
 
   void save_state(BinaryWriter& out) const {
-    base_.save_state(out);
-    out.u8(passthrough_ ? 1 : 0);
     for (const std::uint64_t w : fault_rng_.state_words()) out.u64(w);
     for (const std::uint64_t w : sched_rng_.state_words()) out.u64(w);
     out.u64(steps_);
@@ -225,15 +169,6 @@ class PerturbedEngine {
   }
 
   void load_state(BinaryReader& in) {
-    if (passthrough_) {
-      base_.load_state(in);
-    } else {
-      E(base_).load_state(in);  // checked, then dropped: base_ stays as built
-    }
-    const std::uint8_t passthrough = in.u8();
-    POPBEAN_CHECK_MSG((passthrough != 0) == passthrough_,
-                      "snapshot operating mode does not match this adapter "
-                      "(fault/schedule models differ)");
     std::array<std::uint64_t, 4> words;
     for (std::uint64_t& w : words) w = in.u64();
     fault_rng_.set_state_words(words);
@@ -296,15 +231,12 @@ class PerturbedEngine {
     return counters_.stuck;  // unreachable
   }
 
-  E base_;
+  P protocol_;
   F faults_;
   S schedule_;
   Xoshiro256ss fault_rng_;
   Xoshiro256ss sched_rng_;
-  std::uint64_t num_agents_;
-  bool passthrough_;
-
-  PerturbedConfiguration config_;  // counts mode only
+  PerturbedConfiguration config_;
   std::uint64_t steps_ = 0;
 
   std::vector<FaultEvent> events_;
@@ -312,16 +244,19 @@ class PerturbedEngine {
   FaultLog log_;
   InvariantMonitor* monitor_ = nullptr;
   StepObserver* observer_ = nullptr;
-  obs::EngineProbe* probe_ = nullptr;  // counts mode only; see attach_probe
+  obs::EngineProbe* probe_ = nullptr;
 };
 
-// Deduction-friendly factory: wraps `base` with the given models, splitting
-// the fault and schedule streams off `root` without advancing it.
-template <PerturbableEngineLike E, FaultModelLike F, ScheduleModelLike S>
-PerturbedEngine<E, F, S> make_perturbed(E base, F faults, S schedule,
+// Deduction-friendly factory: runs `protocol` from `initial` under the given
+// models, splitting the fault and schedule streams off `root` without
+// advancing it.
+template <ProtocolLike P, FaultModelLike F, ScheduleModelLike S>
+PerturbedEngine<P, F, S> make_perturbed(P protocol, const Counts& initial,
+                                        F faults, S schedule,
                                         const Xoshiro256ss& root) {
-  return PerturbedEngine<E, F, S>(std::move(base), std::move(faults),
-                                  std::move(schedule), root);
+  return PerturbedEngine<P, F, S>(std::move(protocol), initial,
+                                  std::move(faults), std::move(schedule),
+                                  root);
 }
 
 }  // namespace popbean::faults

@@ -13,8 +13,8 @@
 // *interacting* (non-crashed) agents: `select` returns the ordered
 // (initiator, responder) state pair of the next interaction. A model with
 // `kDelegates == true` (the uniform baseline) additionally promises that
-// its selection law is identical to the engines' own, so the adapter may
-// delegate whole steps to the base engine when no fault is active.
+// its selection law is identical to the engines' own, so a fault sweep may
+// run a cell with no active fault on the plain count engine instead.
 #pragma once
 
 #include <cmath>
@@ -64,8 +64,8 @@ inline std::pair<State, State> sample_uniform_pair(const Counts& active,
   }
 }
 
-// The baseline: matches the engines' uniform scheduler exactly, so the
-// adapter delegates to the base engine whenever no fault model is active.
+// The baseline: matches the engines' uniform scheduler in law, so a fault
+// sweep runs it on the plain count engine whenever no fault model is active.
 struct UniformSchedule {
   static constexpr bool kDelegates = true;
   static std::string name() { return "uniform"; }
@@ -81,8 +81,8 @@ struct UniformSchedule {
 // Skewed (Zipf) selection: an agent in state q interacts at a rate
 // proportional to (q + 1)^{-exponent}. A state-indexed instance of [DV12]'s
 // general-rates model; with exponent 0 it degenerates to uniform (but still
-// runs through the adapter's own loop — use UniformSchedule for the
-// delegating baseline).
+// runs through the adapter — use UniformSchedule for the delegating
+// baseline).
 class ZipfSchedule {
  public:
   static constexpr bool kDelegates = false;

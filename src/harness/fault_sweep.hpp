@@ -99,7 +99,9 @@ inline std::uint64_t fault_sweep_fingerprint(const std::string& label,
 
 namespace detail {
 
-// Runs cell (p, r) deterministically on stream p·replicates + r. Returns
+// Runs cell (p, r) deterministically on stream p·replicates + r: on the
+// PerturbedEngine, or on the plain count engine when no fault model is
+// active and the schedule delegates (the zero-rate control). Returns
 // nullopt iff should_stop fired mid-run (the outcome is then undefined and
 // nothing may be recorded). Completed cells flush engine transition-kind
 // counts, fault tallies, run-status counters, and the run's parallel time
@@ -116,56 +118,64 @@ std::optional<FaultCellOutcome> run_fault_cell(
   const std::uint64_t stream =
       static_cast<std::uint64_t>(point) * config.replicates + replicate;
   Xoshiro256ss rng(config.seed, stream);
-  return with_engine(EngineKind::kCount, protocol, initial, rng,
-                     [&](auto& base) -> std::optional<FaultCellOutcome> {
-    auto engine = faults::make_perturbed(std::move(base), make_faults(rate),
-                                         make_schedule(), rng);
-    faults::InvariantMonitor monitor(invariant, initial);
-    engine.attach_monitor(&monitor);
-    obs::EngineProbe probe;
+  obs::EngineProbe probe;
+  const auto run = [&](auto& engine) {
     if (obs.metrics != nullptr) engine.attach_probe(&probe);
-    const std::optional<RunResult> result = run_to_convergence_interruptible(
-        engine, rng, config.max_interactions, should_stop,
-        stop_check_interval);
-    if (!result) return std::nullopt;
-    FaultCellOutcome out;
-    out.result = *result;
+    return run_to_convergence_interruptible(engine, rng,
+                                            config.max_interactions,
+                                            should_stop, stop_check_interval);
+  };
+  auto faults = make_faults(rate);
+  faults::InvariantMonitor monitor(invariant, initial);
+  FaultCellOutcome out;
+  std::optional<RunResult> result;
+  if (decltype(make_schedule())::kDelegates && !faults.active()) {
+    // The control keeps the plain engine's trajectory and its O(log s)
+    // count-tree draw; nothing moves Φ and no fault fires.
+    result = with_engine(EngineKind::kCount, protocol, initial, rng, run);
+  } else {
+    faults::PerturbedEngine engine(protocol, initial, std::move(faults),
+                                   make_schedule(), rng);
+    engine.attach_monitor(&monitor);
+    result = run(engine);
     out.counters = engine.fault_counters();
-    out.violated = monitor.violated();
-    out.violation_step = monitor.first_violation_step().value_or(0);
+  }
+  if (!result) return std::nullopt;
+  out.result = *result;
+  out.violated = monitor.violated();
+  out.violation_step = monitor.first_violation_step().value_or(0);
 
-    if (obs.metrics != nullptr) {
-      obs::MetricsRegistry& metrics = *obs.metrics;
-      const faults::FaultCounters& c = out.counters;
-      obs::flush_engine_probe(metrics, probe);
-      metrics.add(metrics.counter("faults.crashes"), c.crashes);
-      metrics.add(metrics.counter("faults.recoveries"), c.recoveries);
-      metrics.add(metrics.counter("faults.corruptions"), c.corruptions);
-      metrics.add(metrics.counter("faults.sign_flips"), c.sign_flips);
-      metrics.add(metrics.counter("faults.stuck"), c.stuck);
-      metrics.add(metrics.counter("faults.schedule_delays"), c.schedule_delays);
-      metrics.add(metrics.counter("faults.injected_interactions"),
-                  c.injected_interactions);
-      switch (result->status) {
-        case RunStatus::kConverged:
-          metrics.add(metrics.counter("runs.converged"));
-          break;
-        case RunStatus::kStepLimit:
-          metrics.add(metrics.counter("runs.step_limit"));
-          break;
-        case RunStatus::kAbsorbing:
-          metrics.add(metrics.counter("runs.absorbing"));
-          break;
-      }
-      if (out.violated) metrics.add(metrics.counter("runs.violated"));
-      metrics.observe(
-          metrics.histogram("run.parallel_time",
-                            Histogram::logarithmic(1e-2, 1e8, 50)),
-          static_cast<double>(result->interactions) /
-              static_cast<double>(config.n));
+  if (obs.metrics != nullptr) {
+    obs::MetricsRegistry& metrics = *obs.metrics;
+    const faults::FaultCounters& c = out.counters;
+    obs::flush_engine_probe(metrics, probe);
+    metrics.add(metrics.counter("faults.crashes"), c.crashes);
+    metrics.add(metrics.counter("faults.recoveries"), c.recoveries);
+    metrics.add(metrics.counter("faults.corruptions"), c.corruptions);
+    metrics.add(metrics.counter("faults.sign_flips"), c.sign_flips);
+    metrics.add(metrics.counter("faults.stuck"), c.stuck);
+    metrics.add(metrics.counter("faults.schedule_delays"), c.schedule_delays);
+    metrics.add(metrics.counter("faults.injected_interactions"),
+                c.injected_interactions);
+    switch (result->status) {
+      case RunStatus::kConverged:
+        metrics.add(metrics.counter("runs.converged"));
+        break;
+      case RunStatus::kStepLimit:
+        metrics.add(metrics.counter("runs.step_limit"));
+        break;
+      case RunStatus::kAbsorbing:
+        metrics.add(metrics.counter("runs.absorbing"));
+        break;
     }
-    return out;
-  });
+    if (out.violated) metrics.add(metrics.counter("runs.violated"));
+    metrics.observe(
+        metrics.histogram("run.parallel_time",
+                          Histogram::logarithmic(1e-2, 1e8, 50)),
+        static_cast<double>(result->interactions) /
+            static_cast<double>(config.n));
+  }
+  return out;
 }
 
 // Folds per-cell outcomes (cell (p, r) at index p·replicates + r; `present`
@@ -212,13 +222,14 @@ inline std::vector<FaultSweepPoint> aggregate_fault_cells(
 
 }  // namespace detail
 
-// Sweeps `rates`, running `config.replicates` perturbed CountEngine runs per
-// rate. `make_faults(rate)` builds the fault model, `make_schedule()` the
-// schedule model; `invariant` is watched live in every replicate (use the
-// protocol's conservation law, e.g. verify::avc_sum_invariant); `label`
-// names the sweep in its manifest fingerprint. Replicate r of rate point p
-// draws its root rng from stream p·replicates + r, so every cell is
-// reproducible in isolation. `recovery` adds, each off by default:
+// Sweeps `rates`, running `config.replicates` runs per rate (one
+// run_fault_cell each). `make_faults(rate)` builds the fault model,
+// `make_schedule()` the schedule model; `invariant` is watched live in every
+// perturbed replicate (use the protocol's conservation law, e.g.
+// verify::avc_sum_invariant); `label` names the sweep in its manifest
+// fingerprint. Replicate r of rate point p draws its root rng from stream
+// p·replicates + r, so every cell is reproducible in isolation. `recovery`
+// adds, each off by default:
 //   * recovery.manifest_path + checkpoint_every: completed cells are
 //     appended to the manifest (one checksummed line each) and flushed every
 //     checkpoint_every cells, so a crash loses at most that much work;

@@ -5,7 +5,7 @@
 //
 // This works because the service's corrupt replica path and
 // record_perturbed_run construct the identical stack — Xoshiro256ss(seed,
-// stream) and a counts-mode PerturbedEngine over the same initial counts,
+// stream) and a PerturbedEngine over the same initial counts,
 // with TransientCorruption + UniformSchedule drawing from streams split off
 // that rng — and the interruptible runner is bit-identical to
 // run_to_convergence when never interrupted. The capture

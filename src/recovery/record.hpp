@@ -9,8 +9,9 @@
 // are backfilled from the adapter's FaultLog, which has already recorded
 // them in order.
 //
-// record_perturbed_run re-executes one deterministic cell of a fault sweep
-// (same seed, same stream ⇒ same trajectory) with a recorder attached and
+// record_perturbed_run re-executes one deterministic perturbed cell of a
+// fault sweep (same seed, same stream ⇒ same trajectory; a rate-0 control
+// cell runs the plain count engine instead) with a recorder attached and
 // returns the two capture artifacts: a self-contained header (protocol
 // embedded as .pbp text, invariant weights, instance parameters) and the
 // event log closed by the observed outcome. popbean-replay consumes these
@@ -26,7 +27,6 @@
 #include "faults/invariant_monitor.hpp"
 #include "faults/perturbed_engine.hpp"
 #include "population/configuration.hpp"
-#include "population/count_engine.hpp"
 #include "population/protocol.hpp"
 #include "population/run.hpp"
 #include "protocols/tabulated_io.hpp"
@@ -85,14 +85,9 @@ RecordedRun record_perturbed_run(const P& protocol,
                                  const Counts& initial, F fault_model,
                                  S schedule_model, const RecordSpec& spec) {
   Xoshiro256ss rng(spec.seed, spec.stream);
-  auto engine =
-      faults::make_perturbed(CountEngine<P>(protocol, initial),
-                             std::move(fault_model), std::move(schedule_model),
-                             rng);
-  POPBEAN_CHECK_MSG(!engine.passthrough(),
-                    "recording requires an active fault model or a "
-                    "non-delegating schedule (a passthrough run has no "
-                    "perturbed events to capture)");
+  auto engine = faults::make_perturbed(protocol, initial,
+                                       std::move(fault_model),
+                                       std::move(schedule_model), rng);
 
   faults::InvariantMonitor monitor(invariant, initial);
   engine.attach_monitor(&monitor);

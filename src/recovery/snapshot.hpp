@@ -39,7 +39,8 @@ namespace popbean::recovery {
 
 inline constexpr std::string_view kSnapshotMagic = "PBSN";
 // v2: engine payloads gained the leading protocol-identity string.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+// v3: engine/perturbed payloads dropped the wrapped engine and its mode byte.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 // Sentinel accepted on restore regardless of the live protocol — an escape
 // hatch for payloads produced outside the save path (hand-written fixtures).

@@ -11,7 +11,6 @@
 #include "harness/experiment.hpp"
 #include "obs/context.hpp"
 #include "obs/pool_obs.hpp"
-#include "population/count_engine.hpp"
 #include "population/with_engine.hpp"
 #include "protocols/four_state.hpp"
 #include "protocols/three_state.hpp"
@@ -77,9 +76,9 @@ struct AttemptPlan {
 // Runs one voting replica: all statistical replicates on their own RNG
 // streams (replicate.hpp's replica_stream — replica 0 reuses the legacy
 // a·1000003 + r layout), on job_engine's pick for an honest replica and on
-// the perturbed CountEngine recovery::record_perturbed_run re-records for a
-// corrupt one. Returns nullopt when interrupted (deadline / abandon / cancel), which the
-// vote treats as a non-matching slot.
+// the PerturbedEngine recovery::record_perturbed_run re-records for a
+// corrupt one. Returns nullopt when interrupted (deadline / abandon /
+// cancel), which the vote treats as a non-matching slot.
 template <typename P, typename StopFn>
 std::optional<ReplicaPayload> run_replica(
     const P& protocol, const JobSpec& spec, const Counts& initial,
@@ -115,8 +114,7 @@ std::optional<ReplicaPayload> run_replica(
     std::optional<RunResult> result;
     if (corrupt) {
       auto engine = faults::make_perturbed(
-          CountEngine<P>(protocol, initial),
-          faults::TransientCorruption(plan.corrupt_rate),
+          protocol, initial, faults::TransientCorruption(plan.corrupt_rate),
           faults::UniformSchedule{}, rng);
       result = run(engine);
     } else {

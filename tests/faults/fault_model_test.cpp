@@ -12,7 +12,6 @@
 #include "core/avc.hpp"
 #include "faults/fault_model.hpp"
 #include "faults/perturbed_engine.hpp"
-#include "population/count_engine.hpp"
 #include "population/run.hpp"
 #include "protocols/four_state.hpp"
 
@@ -219,7 +218,7 @@ TEST(PerturbedFaultsTest, CertainCrashesAbsorbTheRun) {
   const FourStateProtocol protocol;
   const Counts counts{6, 4, 0, 0};
   Xoshiro256ss root(11);
-  auto engine = make_perturbed(CountEngine<FourStateProtocol>(protocol, counts),
+  auto engine = make_perturbed(protocol, counts,
                                CrashRecovery(1.0, 0.0), UniformSchedule{},
                                root);
   const RunResult result = run_to_convergence(engine, root, 100000);
@@ -237,7 +236,7 @@ TEST(PerturbedFaultsTest, RecoveryRestoresLiveness) {
   const FourStateProtocol protocol;
   const Counts counts{8, 2, 0, 0};
   Xoshiro256ss root(12);
-  auto engine = make_perturbed(CountEngine<FourStateProtocol>(protocol, counts),
+  auto engine = make_perturbed(protocol, counts,
                                CrashRecovery(0.2, 0.9), UniformSchedule{},
                                root);
   const RunResult result = run_to_convergence(engine, root, 1u << 20);
@@ -252,7 +251,7 @@ TEST(PerturbedFaultsTest, FullyStuckPopulationNeverMoves) {
   const FourStateProtocol protocol;
   const Counts counts{6, 4, 0, 0};
   Xoshiro256ss root(13);
-  auto engine = make_perturbed(CountEngine<FourStateProtocol>(protocol, counts),
+  auto engine = make_perturbed(protocol, counts,
                                StuckAt(1.0), UniformSchedule{}, root);
   EXPECT_EQ(engine.stuck_agents(), 10u);
   EXPECT_EQ(engine.fault_counters().stuck, 10u);
@@ -268,7 +267,7 @@ TEST(PerturbedFaultsTest, CorruptionConservesAgentsAndLogsEvents) {
   counts[protocol.initial_state(Opinion::A)] = 12;
   counts[protocol.initial_state(Opinion::B)] = 8;
   Xoshiro256ss root(14);
-  auto engine = make_perturbed(CountEngine<avc::AvcProtocol>(protocol, counts),
+  auto engine = make_perturbed(protocol, counts,
                                TransientCorruption(1.0), UniformSchedule{},
                                root);
   for (int i = 0; i < 100; ++i) engine.step(root);
@@ -289,7 +288,7 @@ TEST(PerturbedFaultsTest, FaultLogCsvHasOneRowPerEvent) {
   const FourStateProtocol protocol;
   const Counts counts{6, 4, 0, 0};
   Xoshiro256ss root(15);
-  auto engine = make_perturbed(CountEngine<FourStateProtocol>(protocol, counts),
+  auto engine = make_perturbed(protocol, counts,
                                TransientCorruption(1.0), UniformSchedule{},
                                root);
   for (int i = 0; i < 10; ++i) engine.step(root);

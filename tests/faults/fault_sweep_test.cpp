@@ -53,7 +53,7 @@ TEST(FaultSweepTest, RateZeroIsAPerfectControl) {
   EXPECT_EQ(point.summary.accuracy(), 1.0);
   EXPECT_EQ(point.summary.wrong, 0u);
   EXPECT_EQ(point.counters.total_faults(), 0u);
-  EXPECT_EQ(point.counters.injected_interactions, 0u);  // pure passthrough
+  EXPECT_EQ(point.counters.injected_interactions, 0u);  // the plain engine
   EXPECT_EQ(point.violated, 0u);
   EXPECT_TRUE(point.violation_times.empty());
 }

@@ -9,7 +9,6 @@
 #include "faults/fault_model.hpp"
 #include "faults/invariant_monitor.hpp"
 #include "faults/perturbed_engine.hpp"
-#include "population/count_engine.hpp"
 #include "population/run.hpp"
 #include "protocols/four_state.hpp"
 #include "verify/builtin_invariants.hpp"
@@ -82,7 +81,7 @@ TEST(InvariantMonitorEngineTest, FaultFreeRunNeverViolates) {
   Xoshiro256ss root(21);
   // Zipf forces the manual stepping path, so the monitor sees every move —
   // and a skewed schedule alone must conserve Invariant 4.3.
-  auto engine = make_perturbed(CountEngine<avc::AvcProtocol>(protocol, counts),
+  auto engine = make_perturbed(protocol, counts,
                                NoFaults{}, ZipfSchedule(1.0), root);
   InvariantMonitor monitor(verify::avc_sum_invariant(protocol), counts);
   engine.attach_monitor(&monitor);
@@ -95,7 +94,7 @@ TEST(InvariantMonitorEngineTest, CrashesAloneNeverViolate) {
   const FourStateProtocol protocol;
   const Counts counts{12, 8, 0, 0};
   Xoshiro256ss root(22);
-  auto engine = make_perturbed(CountEngine<FourStateProtocol>(protocol, counts),
+  auto engine = make_perturbed(protocol, counts,
                                CrashRecovery(0.05, 0.2), UniformSchedule{},
                                root);
   InvariantMonitor monitor(verify::four_state_difference_invariant(), counts);
@@ -112,7 +111,7 @@ TEST(InvariantMonitorEngineTest, SignFlipsViolateAndTimeIsRecorded) {
   counts[protocol.initial_state(Opinion::A)] = 60;
   counts[protocol.initial_state(Opinion::B)] = 40;
   Xoshiro256ss root(23);
-  auto engine = make_perturbed(CountEngine<avc::AvcProtocol>(protocol, counts),
+  auto engine = make_perturbed(protocol, counts,
                                avc_sign_flip(protocol, 0.05), UniformSchedule{},
                                root);
   InvariantMonitor monitor(verify::avc_sum_invariant(protocol), counts);
@@ -130,7 +129,7 @@ TEST(InvariantMonitorEngineTest, StubbornAgentsBreakPairwiseConservation) {
   const FourStateProtocol protocol;
   const Counts counts{10, 10, 0, 0};
   Xoshiro256ss root(24);
-  auto engine = make_perturbed(CountEngine<FourStateProtocol>(protocol, counts),
+  auto engine = make_perturbed(protocol, counts,
                                StuckAt(0.5), UniformSchedule{}, root);
   InvariantMonitor monitor(verify::four_state_difference_invariant(), counts);
   engine.attach_monitor(&monitor);

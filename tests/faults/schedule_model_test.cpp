@@ -10,7 +10,6 @@
 
 #include "faults/perturbed_engine.hpp"
 #include "faults/schedule_model.hpp"
-#include "population/count_engine.hpp"
 #include "population/run.hpp"
 #include "protocols/four_state.hpp"
 
@@ -180,7 +179,7 @@ TEST(ScheduleLivenessTest, AdversaryDelaysButNeverDecidesWrong) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     Xoshiro256ss root(seed);
     auto engine =
-        make_perturbed(CountEngine<FourStateProtocol>(protocol, counts),
+        make_perturbed(protocol, counts,
                        NoFaults{}, BoundedAdversary(1, 64), root);
     const RunResult result = run_to_convergence(engine, root, 200000);
     if (result.status == RunStatus::kConverged) {
@@ -193,7 +192,7 @@ TEST(ScheduleLivenessTest, ZipfStillConvergesCorrectly) {
   const FourStateProtocol protocol;
   const Counts counts{8, 2, 0, 0};
   Xoshiro256ss root(9);
-  auto engine = make_perturbed(CountEngine<FourStateProtocol>(protocol, counts),
+  auto engine = make_perturbed(protocol, counts,
                                NoFaults{}, ZipfSchedule(1.0), root);
   const RunResult result = run_to_convergence(engine, root, 1u << 20);
   ASSERT_EQ(result.status, RunStatus::kConverged);

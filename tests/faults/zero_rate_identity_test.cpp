@@ -1,19 +1,30 @@
-// The zero-rate identity: a PerturbedEngine whose fault rates are all zero
-// and whose schedule is the uniform baseline reproduces the base engine's
-// trajectory step-for-step under the same seed, on all three engines. This
-// is the contract that makes every fault-sweep rate-0 column a true
-// unperturbed control, and it must be bit-exact, not just statistical.
+// The zero-rate identity, in its two halves.
+//
+// The fault sweep's rate-0 column is the unperturbed control: a cell whose
+// fault rates are all zero under the uniform schedule runs the plain count
+// engine on its own stream, so its outcome is bit-for-bit that engine's
+// (CountEngineIsBitExact, FullRunsDecideIdentically), and a cell with any
+// active model or a skewed schedule runs through the adapter
+// (ActiveModelDisablesPassthrough).
+//
+// The adapter itself steps at the counts level. At zero rates its uniform
+// schedule must still be the engines' selection law: one step at a time
+// (ManualUniformMatchesPairLaw), and over whole runs, whose mean length
+// must match the exact Markov chain's expected time to unanimity
+// (AgentEngineIsBitExact on AVC, SkipEngineIsBitExact on four-state).
 #include <cstdint>
+#include <optional>
 
 #include <gtest/gtest.h>
 
+#include "analysis/exact_markov.hpp"
 #include "core/avc.hpp"
 #include "faults/perturbed_engine.hpp"
-#include "population/agent_engine.hpp"
+#include "harness/fault_sweep.hpp"
 #include "population/count_engine.hpp"
 #include "population/run.hpp"
-#include "population/skip_engine.hpp"
 #include "protocols/four_state.hpp"
+#include "verify/builtin_invariants.hpp"
 
 namespace popbean::faults {
 namespace {
@@ -34,97 +45,138 @@ auto zero_rate_faults() {
                         StuckAt(0.0), four_state_sign_flip(0.0));
 }
 
-// Steps `base` and `perturbed` in lockstep on identically seeded streams and
-// requires identical interaction counts, configurations, and outputs after
-// every step.
-template <typename Base, typename Perturbed>
-void expect_lockstep(Base& base, Perturbed& perturbed, int steps) {
-  Xoshiro256ss base_rng(kSeed);
-  Xoshiro256ss perturbed_rng(kSeed);
-  for (int i = 0; i < steps; ++i) {
-    base.step(base_rng);
-    perturbed.step(perturbed_rng);
-    ASSERT_EQ(base.steps(), perturbed.steps()) << "step " << i;
-    ASSERT_EQ(Counts(base.counts()), perturbed.counts()) << "step " << i;
-    ASSERT_EQ(base.all_same_output(), perturbed.all_same_output());
-    ASSERT_EQ(base.dominant_output(), perturbed.dominant_output());
-    ASSERT_EQ(base.output_agents(1), perturbed.output_agents(1));
-  }
+FaultSweepConfig sweep_config(std::uint64_t n) {
+  FaultSweepConfig config;
+  config.n = n;
+  config.replicates = 4;
+  config.seed = kSeed;
+  config.max_interactions = 1'000'000;
+  return config;
+}
+
+// Sweep cell (point, replicate) of an AVC sweep over `initial`.
+template <typename MakeFaults, typename MakeSchedule>
+FaultCellOutcome avc_cell(const avc::AvcProtocol& protocol,
+                          const Counts& initial, const FaultSweepConfig& config,
+                          std::size_t point, std::size_t replicate,
+                          MakeFaults make_faults, MakeSchedule make_schedule) {
+  const std::optional<FaultCellOutcome> out = detail::run_fault_cell(
+      protocol, verify::avc_sum_invariant(protocol), initial, config,
+      /*rate=*/0.0, point, replicate, make_faults, make_schedule,
+      [] { return false; }, 1024);
+  EXPECT_TRUE(out.has_value());
+  return out.value_or(FaultCellOutcome{});
+}
+
+// The plain count engine on the stream sweep cell (point, replicate) uses.
+RunResult plain_count_run(const avc::AvcProtocol& protocol,
+                          const Counts& initial, const FaultSweepConfig& config,
+                          std::size_t point, std::size_t replicate) {
+  CountEngine<avc::AvcProtocol> engine(protocol, initial);
+  Xoshiro256ss rng(config.seed, point * config.replicates + replicate);
+  return run_to_convergence(engine, rng, config.max_interactions);
+}
+
+void expect_same_run(const FaultCellOutcome& cell, const RunResult& plain) {
+  EXPECT_EQ(cell.result.status, plain.status);
+  EXPECT_EQ(cell.result.decided, plain.decided);
+  EXPECT_EQ(cell.result.interactions, plain.interactions);
+  EXPECT_EQ(cell.counters.total_faults(), 0u);
+  EXPECT_EQ(cell.counters.injected_interactions, 0u);
+  EXPECT_FALSE(cell.violated);
 }
 
 TEST(ZeroRateIdentityTest, CountEngineIsBitExact) {
   const avc::AvcProtocol protocol(3, 1);
   const Counts counts = avc_counts(protocol, 35, 25);
-  CountEngine<avc::AvcProtocol> base(protocol, counts);
-  Xoshiro256ss root(kSeed);
-  auto perturbed =
-      make_perturbed(CountEngine<avc::AvcProtocol>(protocol, counts),
-                     zero_rate_faults(), UniformSchedule{}, root);
-  EXPECT_TRUE(perturbed.passthrough());
-  expect_lockstep(base, perturbed, 2000);
-}
-
-TEST(ZeroRateIdentityTest, AgentEngineIsBitExact) {
-  const avc::AvcProtocol protocol(3, 1);
-  const Counts counts = avc_counts(protocol, 20, 12);
-  AgentEngine<avc::AvcProtocol> base(protocol, counts);
-  Xoshiro256ss root(kSeed);
-  auto perturbed =
-      make_perturbed(AgentEngine<avc::AvcProtocol>(protocol, counts),
-                     zero_rate_faults(), UniformSchedule{}, root);
-  EXPECT_TRUE(perturbed.passthrough());
-  expect_lockstep(base, perturbed, 2000);
-  // Agent-level states, not just counts, must match.
-  for (NodeId node = 0; node < base.num_agents(); ++node) {
-    EXPECT_EQ(base.state_of(node), perturbed.base().state_of(node));
+  const FaultSweepConfig config = sweep_config(60);
+  for (std::size_t point = 0; point < 3; ++point) {
+    for (std::size_t replicate = 0; replicate < config.replicates;
+         ++replicate) {
+      expect_same_run(
+          avc_cell(protocol, counts, config, point, replicate,
+                   [](double) { return zero_rate_faults(); },
+                   [] { return UniformSchedule{}; }),
+          plain_count_run(protocol, counts, config, point, replicate));
+    }
   }
-}
-
-TEST(ZeroRateIdentityTest, SkipEngineIsBitExact) {
-  const FourStateProtocol protocol;
-  const Counts counts{30, 20, 0, 0};
-  SkipEngine<FourStateProtocol> base(protocol, counts);
-  Xoshiro256ss root(kSeed);
-  auto perturbed = make_perturbed(SkipEngine<FourStateProtocol>(protocol, counts),
-                                  zero_rate_faults(), UniformSchedule{}, root);
-  EXPECT_TRUE(perturbed.passthrough());
-  // Jump-chain steps land on the same interaction counts only if the
-  // delegated stream is untouched by the wrapper.
-  expect_lockstep(base, perturbed, 300);
 }
 
 TEST(ZeroRateIdentityTest, FullRunsDecideIdentically) {
   const avc::AvcProtocol protocol(3, 2);
   const Counts counts = avc_counts(protocol, 52, 48);
-  CountEngine<avc::AvcProtocol> base(protocol, counts);
-  Xoshiro256ss base_rng(kSeed + 1);
-  const RunResult expected = run_to_convergence(base, base_rng);
-
-  Xoshiro256ss root(kSeed + 1);
-  auto perturbed =
-      make_perturbed(CountEngine<avc::AvcProtocol>(protocol, counts),
-                     NoFaults{}, UniformSchedule{}, root);
-  const RunResult actual = run_to_convergence(perturbed, root);
-  EXPECT_EQ(actual.status, expected.status);
-  EXPECT_EQ(actual.decided, expected.decided);
-  EXPECT_EQ(actual.interactions, expected.interactions);
-  EXPECT_EQ(perturbed.fault_counters().total_faults(), 0u);
-  EXPECT_EQ(perturbed.fault_counters().injected_interactions, 0u);
-  EXPECT_TRUE(perturbed.fault_log().events().empty());
+  const FaultSweepConfig config = sweep_config(100);
+  for (std::size_t replicate = 0; replicate < config.replicates; ++replicate) {
+    const FaultCellOutcome cell =
+        avc_cell(protocol, counts, config, 1, replicate,
+                 [](double) { return NoFaults{}; },
+                 [] { return UniformSchedule{}; });
+    const RunResult plain = plain_count_run(protocol, counts, config, 1,
+                                            replicate);
+    EXPECT_EQ(cell.result.status, RunStatus::kConverged);
+    expect_same_run(cell, plain);
+  }
 }
 
 TEST(ZeroRateIdentityTest, ActiveModelDisablesPassthrough) {
   const avc::AvcProtocol protocol(3, 1);
   const Counts counts = avc_counts(protocol, 6, 4);
-  Xoshiro256ss root(kSeed);
-  auto perturbed =
-      make_perturbed(CountEngine<avc::AvcProtocol>(protocol, counts),
-                     TransientCorruption(0.5), UniformSchedule{}, root);
-  EXPECT_FALSE(perturbed.passthrough());
-  // A non-delegating schedule also forces the manual path, faults or not.
-  auto zipf = make_perturbed(CountEngine<avc::AvcProtocol>(protocol, counts),
-                             NoFaults{}, ZipfSchedule(1.0), root);
-  EXPECT_FALSE(zipf.passthrough());
+  const FaultSweepConfig config = sweep_config(10);
+  // An active fault model runs the cell through the adapter...
+  const FaultCellOutcome corrupt =
+      avc_cell(protocol, counts, config, 0, 0,
+               [](double) { return TransientCorruption(0.5); },
+               [] { return UniformSchedule{}; });
+  EXPECT_GT(corrupt.result.interactions, 0u);
+  EXPECT_EQ(corrupt.counters.injected_interactions,
+            corrupt.result.interactions);
+  // ...and so does a non-delegating schedule, faults or not.
+  const FaultCellOutcome zipf =
+      avc_cell(protocol, counts, config, 0, 0,
+               [](double) { return NoFaults{}; },
+               [] { return ZipfSchedule(1.0); });
+  EXPECT_GT(zipf.result.interactions, 0u);
+  EXPECT_EQ(zipf.counters.injected_interactions, zipf.result.interactions);
+}
+
+// Mean interactions to unanimity of `runs` zero-rate adapter runs, replicate
+// r on stream (seed, r).
+template <ProtocolLike P>
+double mean_zero_rate_interactions(const P& protocol, const Counts& initial,
+                                   int runs, std::uint64_t seed) {
+  double total = 0.0;
+  for (int r = 0; r < runs; ++r) {
+    Xoshiro256ss rng(seed, static_cast<std::uint64_t>(r));
+    auto engine = make_perturbed(protocol, initial, zero_rate_faults(),
+                                 UniformSchedule{}, rng);
+    const RunResult run = run_to_convergence(engine, rng);
+    EXPECT_EQ(run.status, RunStatus::kConverged);
+    total += static_cast<double>(run.interactions);
+  }
+  return total / runs;
+}
+
+// Monte Carlo error ~ sd/sqrt(runs); 4000 runs sit well inside 5%.
+constexpr int kExactRuns = 4000;
+
+TEST(ZeroRateIdentityTest, AgentEngineIsBitExact) {
+  const avc::AvcProtocol protocol(3, 1);  // s = 6
+  constexpr std::uint64_t kN = 8;
+  const Counts initial = majority_instance_with_margin(protocol, kN, 2);
+  const double exact =
+      ExactChain(protocol, kN).expected_interactions_to_unanimity(initial);
+  EXPECT_NEAR(mean_zero_rate_interactions(protocol, initial, kExactRuns, 806),
+              exact, exact * 0.05);
+}
+
+TEST(ZeroRateIdentityTest, SkipEngineIsBitExact) {
+  const FourStateProtocol protocol;
+  constexpr std::uint64_t kN = 12;
+  const Counts initial = majority_instance(protocol, kN, 8);
+  const double exact =
+      ExactChain(protocol, kN).expected_interactions_to_unanimity(initial);
+  EXPECT_NEAR(mean_zero_rate_interactions(protocol, initial, kExactRuns, 807),
+              exact, exact * 0.05);
 }
 
 // The uniform schedule drawn through the adapter's manual path must still

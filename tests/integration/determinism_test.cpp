@@ -109,9 +109,8 @@ TEST(DeterminismTest, CountEnginePinnedGoldens) {
                 EngineKind::kCount, 2019, {23728, 1});
 }
 
-// Pinned perturbed runs: a counts-mode PerturbedEngine over a CountEngine
-// base, as the fault sweep, serve's corrupt replica and the replay recorder
-// build it. Pins the whole observable outcome, so a change to the adapter's
+// Pinned perturbed runs: a PerturbedEngine as the fault sweep, serve's
+// corrupt replica and the replay recorder build it. Pins the whole observable outcome, so a change to the adapter's
 // draws, its fault bookkeeping or its output tally fails here.
 struct PinnedPerturbedRun {
   std::uint64_t interactions;
@@ -131,10 +130,9 @@ void expect_perturbed_pinned(const P& protocol,
                              std::uint64_t max_interactions,
                              const PinnedPerturbedRun& pinned) {
   Xoshiro256ss rng(seed, 0);
-  auto engine = faults::make_perturbed(CountEngine<P>(protocol, initial),
+  auto engine = faults::make_perturbed(protocol, initial,
                                        std::move(fault_model),
                                        std::move(schedule_model), rng);
-  ASSERT_FALSE(engine.passthrough());
   faults::InvariantMonitor monitor(invariant, initial);
   engine.attach_monitor(&monitor);
   const RunResult run = run_to_convergence(engine, rng, max_interactions);

@@ -1,8 +1,11 @@
 // EngineProbe + classify: the probe's interaction clock matches each
 // engine's own, the kind tallies partition it, AVC's classifier agrees
-// with the transition function, and PerturbedEngine forwards the probe
-// through exactly one recording path.
+// with the transition function, PerturbedEngine records each pair it
+// schedules, and a fault sweep's rate-0 control probes its plain engine.
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,14 +13,18 @@
 #include "faults/fault_model.hpp"
 #include "faults/perturbed_engine.hpp"
 #include "faults/schedule_model.hpp"
+#include "harness/fault_sweep.hpp"
 #include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "obs/probe.hpp"
 #include "population/agent_engine.hpp"
 #include "population/configuration.hpp"
 #include "population/count_engine.hpp"
+#include "population/run.hpp"
 #include "population/skip_engine.hpp"
 #include "protocols/four_state.hpp"
 #include "util/rng.hpp"
+#include "verify/builtin_invariants.hpp"
 
 namespace popbean::obs {
 namespace {
@@ -113,25 +120,54 @@ TEST(EngineProbeTest, UnclassifiedProtocolsReportOther) {
             probe.kinds[static_cast<std::size_t>(ReactionKind::kOther)]);
 }
 
+// The fault sweep's rate-0 control runs the plain count engine with the
+// cell's probe attached, so its flushed engine.* counters are exactly a
+// probed plain run's on the same stream.
 TEST(EngineProbeTest, PerturbedPassthroughForwardsToTheBase) {
   const avc::AvcProtocol protocol(3, 1);
   const Counts counts = majority_instance_with_margin(protocol, 100, 10);
-  Xoshiro256ss root(kSeed);
-  faults::PerturbedEngine perturbed(
-      CountEngine<avc::AvcProtocol>(protocol, counts),
-      faults::TransientCorruption(0.0), faults::UniformSchedule{}, root);
-  ASSERT_TRUE(perturbed.passthrough());
-  expect_probe_matches(perturbed, 3000);
+  FaultSweepConfig config;
+  config.n = 100;
+  config.replicates = 2;
+  config.seed = kSeed;
+  config.max_interactions = 1'000'000;
+
+  MetricsRegistry cell_metrics;
+  ObsContext obs;
+  obs.metrics = &cell_metrics;
+  ASSERT_TRUE(popbean::detail::run_fault_cell(
+      protocol, verify::avc_sum_invariant(protocol), counts, config, 0.0, 1,
+      1, [](double rate) { return faults::TransientCorruption(rate); },
+      [] { return faults::UniformSchedule{}; }, [] { return false; }, 1024,
+      obs));
+
+  CountEngine<avc::AvcProtocol> plain(protocol, counts);
+  EngineProbe probe;
+  plain.attach_probe(&probe);
+  Xoshiro256ss rng(kSeed, 1 * config.replicates + 1);
+  run_to_convergence(plain, rng, config.max_interactions);
+  MetricsRegistry plain_metrics;
+  flush_engine_probe(plain_metrics, probe);
+
+  const auto engine_counters = [](const MetricsRegistry& metrics) {
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    for (const auto& counter : metrics.snapshot().counters) {
+      if (counter.first.rfind("engine.", 0) == 0) out.push_back(counter);
+    }
+    return out;
+  };
+  const auto expected = engine_counters(plain_metrics);
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(engine_counters(cell_metrics), expected);
 }
 
 TEST(EngineProbeTest, PerturbedCountsModeRecordsScheduledPairs) {
   const avc::AvcProtocol protocol(3, 1);
   const Counts counts = majority_instance_with_margin(protocol, 100, 10);
   Xoshiro256ss root(kSeed);
-  faults::PerturbedEngine perturbed(
-      CountEngine<avc::AvcProtocol>(protocol, counts),
-      faults::TransientCorruption(0.05), faults::UniformSchedule{}, root);
-  ASSERT_FALSE(perturbed.passthrough());
+  faults::PerturbedEngine perturbed(protocol, counts,
+                                    faults::TransientCorruption(0.05),
+                                    faults::UniformSchedule{}, root);
   expect_probe_matches(perturbed, 3000);
 }
 

@@ -98,18 +98,29 @@ TEST(SnapshotTest, SkipEngineRoundTripsBitIdentically) {
 
 TEST(SnapshotTest, PerturbedEngineRoundTripsWithSplitStreams) {
   // The adapter owns two extra rng streams (faults, schedule) plus the
-  // frozen/stuck mirrors; all of it must survive the round trip.
+  // frozen/stuck mirrors; all of it must survive the round trip, and so
+  // must a schedule's own state (EpidemicRounds' round in progress).
   const FourStateProtocol protocol;
   Counts initial(protocol.num_states(), 0);
   initial[protocol.initial_state(Opinion::A)] = 120;
   initial[protocol.initial_state(Opinion::B)] = 80;
   using Perturbed =
-      faults::PerturbedEngine<CountEngine<FourStateProtocol>,
-                              faults::CrashRecovery, faults::UniformSchedule>;
+      faults::PerturbedEngine<FourStateProtocol, faults::CrashRecovery,
+                              faults::UniformSchedule>;
   expect_roundtrip_identity<Perturbed>([&](Xoshiro256ss& rng) {
-    return faults::make_perturbed(
-        CountEngine<FourStateProtocol>(protocol, initial),
-        faults::CrashRecovery(0.01, 0.05), faults::UniformSchedule{}, rng);
+    return faults::make_perturbed(protocol, initial,
+                                  faults::CrashRecovery(0.01, 0.05),
+                                  faults::UniformSchedule{}, rng);
+  });
+  // 207 agents: the snapshot falls mid-round.
+  initial[protocol.initial_state(Opinion::A)] = 127;
+  using Rounds =
+      faults::PerturbedEngine<FourStateProtocol, faults::CrashRecovery,
+                              faults::EpidemicRounds>;
+  expect_roundtrip_identity<Rounds>([&](Xoshiro256ss& rng) {
+    return faults::make_perturbed(protocol, initial,
+                                  faults::CrashRecovery(0.01, 0.05),
+                                  faults::EpidemicRounds{}, rng);
   });
 }
 
@@ -150,11 +161,14 @@ TEST(SnapshotTest, CorruptionIsRejectedNotDeserialized) {
   EXPECT_THROW(recovery::unpack_blob("JSON{\"not\":\"a snapshot\"}", "test"),
                recovery::SnapshotError);
 
-  // An unsupported container version is refused.
-  std::string future = good;
-  future[4] = static_cast<char>(0x7f);  // version u32 starts after "PBSN"
-  EXPECT_THROW(recovery::unpack_blob(future, "test"),
-               recovery::SnapshotError);
+  // An unsupported container version is refused: a future one, and
+  // version 2, whose engine/perturbed payload carried a wrapped engine.
+  for (const char version : {static_cast<char>(0x7f), static_cast<char>(2)}) {
+    std::string other = good;
+    other[4] = version;  // version u32 starts after "PBSN"
+    EXPECT_THROW(recovery::unpack_blob(other, "test"),
+                 recovery::SnapshotError);
+  }
 
   // Trailing bytes after the checksum are corruption too.
   EXPECT_THROW(recovery::unpack_blob(good + "x", "test"),

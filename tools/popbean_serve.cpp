@@ -86,7 +86,8 @@
 //   --outage-start=I --outage-len=K  every attempt of the jobs admitted
 //                          with sequence in [I, I+K) fails: a scripted
 //                          outage that trips the breaker (default none)
-//   --corrupt-rate=R       per-interaction rate of kCorrupt faults (1e-3)
+//   --corrupt-rate=R       per-interaction rate of kCorrupt faults, in
+//                          (0, 1] (default 1e-3)
 //   --telemetry-out=PATH   JSONL vote_divergence events from the service
 //   --trace-out=PATH       Chrome trace JSON of per-job async span trees
 //                          (DESIGN.md §13), written after the drain and on
@@ -234,8 +235,14 @@ int main(int argc, char** argv) {
     config.seed = args.get_uint64("seed", 0x5e7);
     ChaosPlan chaos;
     chaos.probability = args.get_double("chaos", 0.0);
-    if (chaos.probability < 0.0 || chaos.probability > 1.0) {
+    if (!(chaos.probability >= 0.0 && chaos.probability <= 1.0)) {
       throw std::runtime_error("flag --chaos: must be in [0, 1]");
+    }
+    // A corrupt replica at rate 0 would not be corrupted.
+    config.chaos_corrupt_rate = args.get_double("corrupt-rate", 1e-3);
+    if (!(config.chaos_corrupt_rate > 0.0 &&
+          config.chaos_corrupt_rate <= 1.0)) {
+      throw std::runtime_error("flag --corrupt-rate: must be in (0, 1]");
     }
     const std::string chaos_kind = args.get_string("chaos-kind", "mixed");
     if (chaos_kind != "mixed" && chaos_kind != "corrupt") {
@@ -251,7 +258,6 @@ int main(int argc, char** argv) {
         return draw_chaos(chaos, ctx);
       };
     }
-    config.chaos_corrupt_rate = args.get_double("corrupt-rate", 1e-3);
     const std::size_t shards =
         static_cast<std::size_t>(args.get_uint64("shards", 1));
     if (shards < 1) throw std::runtime_error("flag --shards: must be >= 1");
