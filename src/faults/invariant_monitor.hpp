@@ -21,7 +21,6 @@
 #include <utility>
 
 #include "population/configuration.hpp"
-#include "util/binary_io.hpp"
 #include "verify/linear_invariant.hpp"
 
 namespace popbean::faults {
@@ -58,25 +57,6 @@ class InvariantMonitor {
   bool violated() const noexcept { return first_violation_step_.has_value(); }
   std::optional<std::uint64_t> first_violation_step() const noexcept {
     return first_violation_step_;
-  }
-
-  // Snapshot hooks (src/recovery): a monitor restored next to its engine
-  // keeps the original Φ(c₀) baseline and any already-recorded first
-  // violation, so resuming a run cannot double-report or lose it.
-  void save_state(BinaryWriter& out) const {
-    out.i64(initial_value_);
-    out.i64(current_value_);
-    out.u8(first_violation_step_.has_value() ? 1 : 0);
-    out.u64(first_violation_step_.value_or(0));
-  }
-
-  void load_state(BinaryReader& in) {
-    initial_value_ = in.i64();
-    current_value_ = in.i64();
-    const bool has_violation = in.u8() != 0;
-    const std::uint64_t step = in.u64();
-    first_violation_step_ =
-        has_violation ? std::optional<std::uint64_t>(step) : std::nullopt;
   }
 
  private:

@@ -24,7 +24,6 @@
 #include "faults/invariant_monitor.hpp"
 #include "population/configuration.hpp"
 #include "population/protocol.hpp"
-#include "util/binary_io.hpp"
 #include "util/check.hpp"
 
 namespace popbean::faults {
@@ -128,40 +127,6 @@ class PerturbedConfiguration {
     if (!a_stuck) move(a, t.initiator);
     if (!b_stuck) move(b, t.responder);
     return nullptr;
-  }
-
-  // Snapshot hooks, a section of the engine/perturbed payload. The output
-  // tally is derived state, re-derived on load.
-  void save(BinaryWriter& out) const {
-    out.u64(frozen_count_);
-    out.u64(stuck_count_);
-    out.vec_u64(counts_);
-    out.vec_u64(frozen_);
-    out.vec_u64(stuck_);
-    out.vec_u64(active_);
-  }
-
-  void load(BinaryReader& in) {
-    frozen_count_ = in.u64();
-    stuck_count_ = in.u64();
-    Counts counts = in.vec_u64();
-    frozen_ = in.vec_u64();
-    stuck_ = in.vec_u64();
-    active_ = in.vec_u64();
-    const std::size_t s = camp_.size();
-    POPBEAN_CHECK_MSG(counts.size() == s && frozen_.size() == s &&
-                          stuck_.size() == s && active_.size() == s,
-                      "snapshot configuration arity does not match the "
-                      "protocol");
-    POPBEAN_CHECK_MSG(population_size(counts) == num_agents_,
-                      "snapshot population size does not match this engine");
-    for (State q = 0; q < s; ++q) {
-      POPBEAN_CHECK_MSG(frozen_[q] + stuck_[q] <= counts[q] &&
-                            active_[q] == counts[q] - frozen_[q],
-                        "snapshot crash/stubborn bookkeeping inconsistent");
-    }
-    counts_ = std::move(counts);
-    recount();
   }
 
  private:

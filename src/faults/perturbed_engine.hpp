@@ -21,11 +21,13 @@
 // exactly how crashes threaten liveness; if fewer than two interacting
 // agents remain, step() stops advancing the interaction counter and
 // run_to_convergence reports kAbsorbing.
+//
+// The adapter has no serialized form. A perturbed run is reproduced from
+// its recorded decisions (recovery/record.hpp, replay.hpp), and a sweep
+// re-runs an unfinished cell from its seed.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -38,7 +40,6 @@
 #include "population/configuration.hpp"
 #include "population/protocol.hpp"
 #include "population/run.hpp"
-#include "util/binary_io.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -138,58 +139,6 @@ class PerturbedEngine {
   // (src/recovery) each applied decision.
   void attach_probe(obs::EngineProbe* probe) noexcept { probe_ = probe; }
   void attach_observer(StepObserver* observer) { observer_ = observer; }
-
-  // --- snapshot hooks (src/recovery) ---------------------------------------
-  // Serializes both split rng streams, the counts-level configuration,
-  // the fault counters, and any mutable model state (schedule models like
-  // EpidemicRounds carry per-run state). The bounded FaultLog is *not* part
-  // of a snapshot — it is reporting state, not dynamics; use the
-  // record/replay event log for full fault history. An attached monitor is
-  // external and must be restored by the caller.
-  static constexpr std::string_view kSnapshotKind = "engine/perturbed";
-
-  void save_state(BinaryWriter& out) const {
-    for (const std::uint64_t w : fault_rng_.state_words()) out.u64(w);
-    for (const std::uint64_t w : sched_rng_.state_words()) out.u64(w);
-    out.u64(steps_);
-    config_.save(out);
-    out.u64(counters_.crashes);
-    out.u64(counters_.recoveries);
-    out.u64(counters_.corruptions);
-    out.u64(counters_.sign_flips);
-    out.u64(counters_.stuck);
-    out.u64(counters_.schedule_delays);
-    out.u64(counters_.injected_interactions);
-    if constexpr (requires(BinaryWriter& w) { faults_.save_state(w); }) {
-      faults_.save_state(out);
-    }
-    if constexpr (requires(BinaryWriter& w) { schedule_.save_state(w); }) {
-      schedule_.save_state(out);
-    }
-  }
-
-  void load_state(BinaryReader& in) {
-    std::array<std::uint64_t, 4> words;
-    for (std::uint64_t& w : words) w = in.u64();
-    fault_rng_.set_state_words(words);
-    for (std::uint64_t& w : words) w = in.u64();
-    sched_rng_.set_state_words(words);
-    steps_ = in.u64();
-    config_.load(in);
-    counters_.crashes = in.u64();
-    counters_.recoveries = in.u64();
-    counters_.corruptions = in.u64();
-    counters_.sign_flips = in.u64();
-    counters_.stuck = in.u64();
-    counters_.schedule_delays = in.u64();
-    counters_.injected_interactions = in.u64();
-    if constexpr (requires(BinaryReader& r) { faults_.load_state(r); }) {
-      faults_.load_state(in);
-    }
-    if constexpr (requires(BinaryReader& r) { schedule_.load_state(r); }) {
-      schedule_.load_state(in);
-    }
-  }
 
   FaultView view() const noexcept { return config_.view(); }
 

@@ -26,7 +26,6 @@
 #include "faults/fault_log.hpp"
 #include "population/configuration.hpp"
 #include "population/protocol.hpp"
-#include "util/binary_io.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -163,19 +162,6 @@ class EpidemicRounds {
   }
 
   std::uint64_t rounds_started() const noexcept { return rounds_; }
-
-  // Snapshot hooks: the in-progress round (remaining matchable agents) is
-  // genuine per-run state — dropping it would bias the next few selections
-  // after a restore.
-  void save_state(BinaryWriter& out) const {
-    out.vec_u64(remaining_);
-    out.u64(rounds_);
-  }
-
-  void load_state(BinaryReader& in) {
-    remaining_ = in.vec_u64();
-    rounds_ = in.u64();
-  }
 
  private:
   std::uint64_t clamped_total(const Counts& active) const {

@@ -219,8 +219,8 @@ CellSweepReport run_cell_sweep(ThreadPool& pool, std::size_t points,
       CellOutcomeKind kind = CellOutcomeKind::kCancelled;
       try {
         if (!cancelled()) {
-          const std::size_t attempts = 1 + options.max_retries;
-          for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
+          for (std::size_t attempt = 0; attempt <= options.max_retries;
+               ++attempt) {
             if (attempt > 0 && metrics != nullptr) {
               metrics->add(ids.retries);
             }

@@ -3,10 +3,12 @@
 // Keeps the explicit state of each agent; one interaction costs O(1). This is
 // the reference engine: it is the only one that supports arbitrary
 // interaction graphs, and the accelerated engines are validated against it.
+// Its state is the agent array. An engine built from counts() places the
+// agents in state order again: on the complete graph it continues the run
+// in law but not draw for draw, and on other graphs the placement is lost.
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -16,7 +18,6 @@
 #include "population/configuration.hpp"
 #include "population/engine_core.hpp"
 #include "population/protocol.hpp"
-#include "util/binary_io.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -71,34 +72,6 @@ class AgentEngine : public EngineCore<P> {
   // probe must outlive the engine or be detached first. Recording compiles
   // out entirely when POPBEAN_OBS_ENABLED=0.
   void attach_probe(obs::EngineProbe* probe) noexcept { probe_ = probe; }
-
-  // --- snapshot hooks (src/recovery) ---------------------------------------
-  // Serializes the mutable run state (agent array, step count, output
-  // bookkeeping). The protocol and graph are construction inputs, not saved:
-  // restore into an engine built with identical arguments.
-  static constexpr std::string_view kSnapshotKind = "engine/agent";
-
-  void save_state(BinaryWriter& out) const {
-    out.u64(steps_);
-    out.u64(agents_.size());
-    for (const State q : agents_) out.u32(q);
-  }
-
-  void load_state(BinaryReader& in) {
-    const std::uint64_t steps = in.u64();
-    const std::uint64_t n = in.u64();
-    POPBEAN_CHECK_MSG(n == agents_.size(),
-                      "snapshot population size does not match this engine");
-    std::vector<State> agents(agents_.size());
-    for (State& q : agents) {
-      q = in.u32();
-      POPBEAN_CHECK_MSG(q < protocol_.num_states(),
-                        "snapshot agent state out of range");
-    }
-    agents_ = std::move(agents);
-    steps_ = steps;
-    this->recount(counts());
-  }
 
   // Executes one interaction: draws a uniformly random directed edge and
   // applies the transition function to (initiator, responder).

@@ -9,17 +9,18 @@
 // when the state count s is large (the paper's Figure 4 uses s up to 16340
 // and the "n-state AVC" of Figure 3 uses s ≈ n, where an s × s reaction
 // table would not fit in memory).
+//
+// The tree is a function of the counts alone, so an engine built from
+// another's counts() continues its trajectory on the same rng stream.
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <utility>
 
 #include "obs/probe.hpp"
 #include "population/configuration.hpp"
 #include "population/engine_core.hpp"
 #include "population/protocol.hpp"
-#include "util/binary_io.hpp"
 #include "util/check.hpp"
 #include "util/count_tree.hpp"
 #include "util/rng.hpp"
@@ -38,22 +39,6 @@ class CountEngine : public EngineCore<P> {
   // probe must outlive the engine or be detached first. Recording compiles
   // out entirely when POPBEAN_OBS_ENABLED=0.
   void attach_probe(obs::EngineProbe* probe) noexcept { probe_ = probe; }
-
-  // --- snapshot hooks (src/recovery) ---------------------------------------
-  // Serializes counts and step count; the tree's upper levels and the output
-  // tallies are derived state, rebuilt (and cross-checked) on load.
-  static constexpr std::string_view kSnapshotKind = "engine/count";
-
-  void save_state(BinaryWriter& out) const {
-    out.u64(steps_);
-    out.vec_u64(counts());
-  }
-
-  void load_state(BinaryReader& in) {
-    const std::uint64_t steps = in.u64();
-    tree_ = CountTree(this->load_counts(in));
-    steps_ = steps;
-  }
 
   // Executes one interaction on a uniformly random ordered pair of distinct
   // agents.

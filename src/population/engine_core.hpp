@@ -4,8 +4,10 @@
 //
 // Each engine inherits it, reports every agent that changes state through
 // move(), and keeps only its own sampling structures. The tally makes
-// all_same_output() O(1); it is derived state, so snapshots never store it
-// and it is re-derived from the configuration on construction and on load.
+// all_same_output() O(1); it is derived from the configuration on
+// construction. The constructor is the only way into an engine: on the
+// clique the count vector is the whole state of the chain, so an engine
+// built from another's counts() continues the same chain.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +15,6 @@
 
 #include "population/configuration.hpp"
 #include "population/protocol.hpp"
-#include "util/binary_io.hpp"
 #include "util/check.hpp"
 
 namespace popbean {
@@ -69,19 +70,6 @@ class EngineCore {
     for (State q = 0; q < counts.size(); ++q) {
       out_count_[index(protocol_.output(q))] += counts[q];
     }
-  }
-
-  // Reads a counts snapshot (BinaryWriter::vec_u64), checks it against the
-  // protocol's state count and this engine's population, and re-tallies
-  // outputs from it. The caller adopts the returned counts.
-  Counts load_counts(BinaryReader& in) {
-    Counts counts = in.vec_u64();
-    POPBEAN_CHECK_MSG(counts.size() == protocol_.num_states(),
-                      "snapshot state count does not match the protocol");
-    POPBEAN_CHECK_MSG(population_size(counts) == num_agents_,
-                      "snapshot population size does not match this engine");
-    recount(counts);
-    return counts;
   }
 
   P protocol_;

@@ -43,7 +43,9 @@
 //
 // The draw consumes the same RNG values and picks the same (initiator,
 // responder) pair as a linear scan over rows and columns in state order, so
-// seeded trajectories do not depend on the block layout.
+// seeded trajectories do not depend on the block layout. All of the derived
+// state is a function of the counts, so an engine built from another's
+// counts() continues its trajectory on the same rng stream.
 #pragma once
 
 #include <algorithm>
@@ -51,7 +53,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -59,7 +60,6 @@
 #include "population/configuration.hpp"
 #include "population/engine_core.hpp"
 #include "population/protocol.hpp"
-#include "util/binary_io.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -141,27 +141,6 @@ class SkipEngine : public EngineCore<P> {
   // Total weight of productive ordered agent pairs in the current
   // configuration (0 ⇔ absorbing).
   std::uint64_t reactive_weight() const noexcept { return weight_; }
-
-  // --- snapshot hooks (src/recovery) ---------------------------------------
-  // Serializes counts, step count, and the absorbing flag; the reactivity
-  // table, weights and output tallies are derived state, rebuilt on load.
-  static constexpr std::string_view kSnapshotKind = "engine/skip";
-
-  void save_state(BinaryWriter& out) const {
-    out.u64(steps_);
-    out.u8(absorbing_ ? 1 : 0);
-    out.vec_u64(counts_);
-  }
-
-  void load_state(BinaryReader& in) {
-    const std::uint64_t steps = in.u64();
-    const std::uint8_t absorbing = in.u8();
-    POPBEAN_CHECK_MSG(absorbing <= 1, "snapshot absorbing flag corrupt");
-    counts_ = this->load_counts(in);
-    steps_ = steps;
-    absorbing_ = absorbing != 0;
-    rebuild();
-  }
 
   // Advances time past the pending run of null interactions and executes the
   // next productive interaction (or marks the configuration absorbing). When

@@ -1,27 +1,17 @@
-// Versioned, checksummed snapshot files (DESIGN.md §7).
+// Versioned, checksummed recovery files (DESIGN.md §7).
 //
-// Every recovery artifact — engine snapshots, replay captures, event logs —
-// travels in the same container:
+// Replay captures (recovery/event_log.hpp: a capture header and an event
+// log) travel in one container:
 //
 //   "PBSN" | version u32 | kind str | payload str | fnv1a64(kind ⊕ payload)
 //
-// The `kind` string tags what the payload is ("engine/count",
-// "replay/initial", …) so a snapshot restored into the wrong engine type
-// fails loudly instead of deserializing garbage. Files are written via
-// write_file_atomic (stage + rename), so a crash mid-save never clobbers the
-// previous snapshot, and the trailing checksum rejects truncation and bit
-// rot on load.
-//
-// Engine snapshots pair the engine's own mutable state with the *driver* rng
-// (the generator the caller passes to step()): restoring both is what makes
-// the resumed run bit-identical to the uninterrupted one. Construction
-// inputs (protocol, initial counts, graph, fault/schedule models) are not
-// serialized — restore into an engine constructed with identical arguments.
-// Since v2 the payload leads with the protocol's identity string
-// (population/protocol_identity.hpp: a registry name and/or a structural
-// δ-table fingerprint), so restoring a snapshot into an engine running a
-// *different* protocol — same engine type, same state count, different
-// rules — is refused instead of silently resuming a corrupted run.
+// The `kind` string tags what the payload is ("replay/initial",
+// "replay/log"), so a header loaded as a log fails loudly instead of
+// deserializing garbage. Files are written via write_file_atomic (stage +
+// rename), so a crash mid-save never clobbers the previous file, and the
+// trailing checksum rejects truncation and bit rot on load. Engines have no
+// serialized form: a run starts from its constructor's count vector, and a
+// sweep resumes per finished cell (harness/checkpoint.hpp).
 #pragma once
 
 #include <array>
@@ -30,23 +20,18 @@
 #include <string>
 #include <string_view>
 
-#include "population/protocol_identity.hpp"
 #include "util/binary_io.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 
 namespace popbean::recovery {
 
 inline constexpr std::string_view kSnapshotMagic = "PBSN";
-// v2: engine payloads gained the leading protocol-identity string.
-// v3: engine/perturbed payloads dropped the wrapped engine and its mode byte.
+// Governs the capture payloads only, the container's sole contents; bump it
+// when their layout changes. A file is read only under the version it was
+// written with.
 inline constexpr std::uint32_t kSnapshotVersion = 3;
 
-// Sentinel accepted on restore regardless of the live protocol — an escape
-// hatch for payloads produced outside the save path (hand-written fixtures).
-inline constexpr std::string_view kUnknownProtocolIdentity = "unknown";
-
-// Corrupt, truncated, or mismatched snapshot input. Deliberately a distinct
+// Corrupt, truncated, or mismatched recovery input. Deliberately a distinct
 // type: callers (the resume path, popbean-replay) treat a bad file as "start
 // over / refuse", never as a crash.
 class SnapshotError : public std::runtime_error {
@@ -54,18 +39,6 @@ class SnapshotError : public std::runtime_error {
   explicit SnapshotError(const std::string& what)
       : std::runtime_error(what) {}
 };
-
-// An engine the snapshot layer can round-trip: a self-describing kind tag
-// plus binary state hooks.
-template <typename E>
-concept SnapshotableEngine =
-    requires(const E& engine, E& mutable_engine, BinaryWriter& out,
-             BinaryReader& in) {
-      { E::kSnapshotKind } -> std::convertible_to<std::string_view>;
-      engine.save_state(out);
-      mutable_engine.load_state(in);
-      engine.protocol();  // identity-checked on restore
-    };
 
 inline std::string pack_blob(std::string_view kind, std::string_view payload) {
   BinaryWriter out;
@@ -131,70 +104,6 @@ inline std::string load_payload_file(const std::string& path,
                         "', expected '" + std::string(expected_kind) + "'");
   }
   return std::move(blob.payload);
-}
-
-inline void write_rng(BinaryWriter& out, const Xoshiro256ss& rng) {
-  for (const std::uint64_t w : rng.state_words()) out.u64(w);
-}
-
-inline void read_rng(BinaryReader& in, Xoshiro256ss& rng) {
-  std::array<std::uint64_t, 4> words;
-  for (std::uint64_t& w : words) w = in.u64();
-  rng.set_state_words(words);
-}
-
-// Serializes engine + driver rng into a blob payload (no file). The payload
-// leads with the engine's protocol identity so restore can refuse a
-// protocol/snapshot mismatch.
-template <SnapshotableEngine E>
-std::string snapshot_engine_bytes(const E& engine, const Xoshiro256ss& driver) {
-  BinaryWriter out;
-  out.str(protocol_identity(engine.protocol()));
-  write_rng(out, driver);
-  engine.save_state(out);
-  return out.take();
-}
-
-// Restores engine + driver rng from a payload produced by
-// snapshot_engine_bytes on an engine constructed with identical arguments.
-// Throws SnapshotError if the embedded protocol identity does not match the
-// live engine's (kUnknownProtocolIdentity is always accepted).
-template <SnapshotableEngine E>
-void restore_engine_bytes(std::string_view payload, E& engine,
-                          Xoshiro256ss& driver) {
-  try {
-    BinaryReader in(payload);
-    const std::string saved = in.str();
-    const std::string live = protocol_identity(engine.protocol());
-    if (saved != live && saved != kUnknownProtocolIdentity) {
-      throw SnapshotError("protocol identity mismatch: snapshot was taken "
-                          "with \"" + saved + "\" but the engine is running "
-                          "\"" + live + "\"");
-    }
-    read_rng(in, driver);
-    engine.load_state(in);
-    if (!in.at_end()) {
-      throw SnapshotError("snapshot payload has trailing bytes");
-    }
-  } catch (const SnapshotError&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw SnapshotError(std::string("engine snapshot: ") + e.what());
-  }
-}
-
-// File-level convenience wrappers with atomic write-rename.
-template <SnapshotableEngine E>
-void save_engine_snapshot(const std::string& path, const E& engine,
-                          const Xoshiro256ss& driver) {
-  save_blob_file(path, E::kSnapshotKind, snapshot_engine_bytes(engine, driver));
-}
-
-template <SnapshotableEngine E>
-void restore_engine_snapshot(const std::string& path, E& engine,
-                             Xoshiro256ss& driver) {
-  const std::string payload = load_payload_file(path, E::kSnapshotKind);
-  restore_engine_bytes(payload, engine, driver);
 }
 
 }  // namespace popbean::recovery

@@ -117,18 +117,6 @@ class Xoshiro256ss {
   // True with probability p.
   bool bernoulli(double p) noexcept { return unit() < p; }
 
-  // Snapshot access to the raw 256-bit state (util/binary_io + recovery
-  // snapshots). A generator restored via set_state_words continues the exact
-  // sequence the saved one would have produced.
-  std::array<std::uint64_t, 4> state_words() const noexcept { return state_; }
-
-  void set_state_words(const std::array<std::uint64_t, 4>& words) {
-    POPBEAN_CHECK_MSG(words[0] != 0 || words[1] != 0 || words[2] != 0 ||
-                          words[3] != 0,
-                      "xoshiro256** state must not be all-zero");
-    state_ = words;
-  }
-
   // Derives an independent child generator from the current state and a
   // stream id WITHOUT advancing this generator. Deterministic: the same
   // (state, stream_id) pair always yields the same child, distinct stream

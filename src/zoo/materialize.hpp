@@ -11,8 +11,8 @@
 // verbatim for the programmatic original, and the bit-exact equivalence of
 // the two under every engine is itself a tested property (tests/zoo).
 //
-// The view keeps the runtime's identity string, so recovery snapshots
-// taken against one form restore into the other.
+// The view keeps the member's name (zoo_name()); the registry spec of
+// either form is "zoo:" + that name.
 #pragma once
 
 #include <string>
@@ -30,7 +30,6 @@ class MaterializedView {
   template <CodeProtocol Z>
   explicit MaterializedView(const Runtime<Z>& runtime)
       : table_(runtime),
-        identity_(runtime.identity()),
         zoo_name_(runtime.member().name()) {}
 
   std::size_t num_states() const noexcept { return table_.num_states(); }
@@ -47,10 +46,6 @@ class MaterializedView {
 
   std::string state_name(State q) const { return table_.state_name(q); }
 
-  // Copied from the source runtime: the programmatic and frozen forms are
-  // the same protocol to the snapshot layer.
-  std::string identity() const { return identity_; }
-
   const std::string& zoo_name() const noexcept { return zoo_name_; }
 
   // The underlying table, for toolchain paths that want a plain
@@ -59,7 +54,6 @@ class MaterializedView {
 
  private:
   TabulatedProtocol table_;
-  std::string identity_;
   std::string zoo_name_;
 };
 

@@ -14,6 +14,9 @@
 // and outputs are cached per dense id, so the per-interaction overhead vs
 // a table lookup is the δ computation itself — measured by the
 // engine_microbench zoo cases.
+//
+// A runtime is named by its registry spec, "zoo:" + member().name()
+// (zoo/registry.hpp).
 #pragma once
 
 #include <algorithm>
@@ -24,7 +27,6 @@
 
 #include "obs/probe.hpp"
 #include "population/protocol.hpp"
-#include "population/protocol_identity.hpp"
 #include "util/check.hpp"
 #include "zoo/code_protocol.hpp"
 #include "zoo/universe.hpp"
@@ -58,7 +60,6 @@ class Runtime {
       code_to_id_[universe_.code_of(id)] = id;
       outputs_[id] = member_.output_code(universe_.code_of(id));
     }
-    identity_ = "zoo:" + member_.name() + "/" + protocol_fingerprint(*this);
   }
 
   std::size_t num_states() const noexcept { return universe_.size(); }
@@ -89,12 +90,6 @@ class Runtime {
     return member_.classify_codes(code_of(a), code_of(b));
   }
 
-  // "zoo:<name>/s=<s>/fp=<hash>" — recovery snapshots embed and compare
-  // this (population/protocol_identity.hpp). The fingerprint part matches
-  // the materialized view's, and MaterializedView copies the full string,
-  // so snapshots move freely between the programmatic and frozen forms.
-  std::string identity() const { return identity_; }
-
   const Z& member() const noexcept { return member_; }
 
   std::uint32_t code_of(State id) const { return universe_.code_of(id); }
@@ -117,7 +112,6 @@ class Runtime {
   std::vector<State> code_to_id_;
   std::vector<Output> outputs_;
   State initial_[2] = {0, 0};
-  std::string identity_;
 };
 
 }  // namespace popbean::zoo

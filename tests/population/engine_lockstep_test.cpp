@@ -23,7 +23,6 @@
 #include "protocols/random_protocol.hpp"
 #include "protocols/three_state.hpp"
 #include "protocols/voter.hpp"
-#include "util/binary_io.hpp"
 #include "util/rng.hpp"
 
 namespace popbean {
@@ -167,8 +166,11 @@ class ReferenceCount {
 };
 
 // Mid-run events at a given step index: move one agent from `from` to `to`
-// and rebuild both sides from the moved configuration, or reload the engine
-// from its own snapshot.
+// and rebuild both sides from the moved configuration, or rebuild only the
+// engine under test from its own counts. A rebuilt engine counts its steps
+// from 0, so it is compared with the reference by its steps since the
+// rebuild; the skip engine finds an absorbing configuration again on its
+// first step, so its flag is compared from then on.
 struct Event {
   int at = -1;
   enum Kind { kMoveAgent, kReload } kind = kMoveAgent;
@@ -177,13 +179,16 @@ struct Event {
 };
 
 template <typename Engine, typename Ref>
-void expect_same_state(const Engine& engine, const Ref& ref, int step) {
+void expect_same_state(const Engine& engine, const Ref& ref, int step,
+                       std::uint64_t rebuilt_at, bool compare_absorbing) {
   ASSERT_EQ(engine.counts(), ref.counts()) << "step " << step;
-  ASSERT_EQ(engine.steps(), ref.steps()) << "step " << step;
+  ASSERT_EQ(engine.steps(), ref.steps() - rebuilt_at) << "step " << step;
   if constexpr (requires { ref.reactive_weight(); }) {
     ASSERT_EQ(engine.reactive_weight(), ref.reactive_weight())
         << "step " << step;
-    ASSERT_EQ(engine.absorbing(), ref.absorbing()) << "step " << step;
+    if (compare_absorbing) {
+      ASSERT_EQ(engine.absorbing(), ref.absorbing()) << "step " << step;
+    }
   }
 }
 
@@ -195,7 +200,8 @@ void run_lockstep(const P& protocol, const Counts& initial, int steps,
   Ref<P> ref(protocol, initial);
   Xoshiro256ss rng_engine(seed);
   Xoshiro256ss rng_ref(seed);
-  expect_same_state(engine, ref, -1);
+  std::uint64_t rebuilt_at = 0;  // the reference's steps at the last rebuild
+  expect_same_state(engine, ref, -1, rebuilt_at, true);
   for (int i = 0; i < steps; ++i) {
     for (const Event& e : events) {
       if (e.at != i) continue;
@@ -206,19 +212,17 @@ void run_lockstep(const P& protocol, const Counts& initial, int steps,
         ++moved[e.to];
         engine = Engine<P>(protocol, moved);
         ref = Ref<P>(protocol, moved);
+        rebuilt_at = 0;
       } else {
-        BinaryWriter out;
-        engine.save_state(out);
-        Engine<P> restored(protocol, initial);
-        BinaryReader in(out.bytes());
-        restored.load_state(in);
-        engine = std::move(restored);
+        engine = Engine<P>(protocol, engine.counts());
+        rebuilt_at = ref.steps();
       }
-      expect_same_state(engine, ref, i);
+      expect_same_state(engine, ref, i, rebuilt_at,
+                        e.kind == Event::kMoveAgent);
     }
     engine.step(rng_engine);
     ref.step(rng_ref);
-    expect_same_state(engine, ref, i);
+    expect_same_state(engine, ref, i, rebuilt_at, true);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -149,6 +150,7 @@ TEST_F(ResumeTest, FingerprintMismatchRefusesToResume) {
 TEST_F(ResumeTest, RecoverableSweepMatchesPlainSweepExactly) {
   // Checkpointing every cell changes nothing in the aggregate: a sweep
   // without a manifest and one that writes every cell agree bit-for-bit.
+  // The largest retry budget still gives each cell its first attempt.
   ThreadPool pool(2);
   const FaultSweepConfig config = small_config();
   const FaultSweepOutcome plain =
@@ -156,6 +158,7 @@ TEST_F(ResumeTest, RecoverableSweepMatchesPlainSweepExactly) {
   FaultSweepRecovery checkpointed;
   checkpointed.manifest_path = manifest_;
   checkpointed.checkpoint_every = 1;
+  checkpointed.run.max_retries = std::numeric_limits<std::size_t>::max();
   const FaultSweepOutcome recoverable =
       recoverable_sweep(pool, checkpointed, config);
   EXPECT_TRUE(plain.report.complete());

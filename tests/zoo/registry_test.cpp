@@ -40,10 +40,13 @@ TEST(RegistryTest, EveryPublishedMemberDispatches) {
 }
 
 TEST(RegistryTest, IdentityCarriesTheRegistryName) {
+  // A spec resolves to the member of that name, for both parameterizations.
   for (const ZooEntry& entry : zoo_members()) {
-    const std::string identity = with_zoo_runtime(
-        entry.spec, [](const auto& runtime) { return runtime.identity(); });
-    EXPECT_EQ(identity.rfind(entry.spec + "/", 0), 0u) << identity;
+    const auto spec_of = [](const auto& runtime) {
+      return "zoo:" + runtime.member().name();
+    };
+    EXPECT_EQ(with_zoo_runtime(entry.spec, spec_of), entry.spec);
+    EXPECT_EQ(with_zoo_runtime_gate(entry.spec, spec_of), entry.spec);
   }
 }
 

@@ -27,7 +27,7 @@
 //   --eps=E            initial margin fraction (default 0.02)
 //   --replicates=R     replicates per rate (default 25)
 //   --seed=S           base seed (default 20150721)
-//   --max-time=T       parallel-time budget per run (default 2000)
+//   --max-time=T       parallel-time budget per run, > 0 (default 2000)
 //   --threads=T        worker threads (default: hardware concurrency)
 //   --json=PATH        also write the sweep as a JSON report
 //   --csv=PATH         also write the per-rate series as CSV
@@ -45,7 +45,7 @@
 // Crash tolerance & replay (DESIGN.md §7):
 //   --checkpoint=PATH  append completed (rate, replicate) cells to a
 //                      checksummed manifest as the sweep runs
-//   --checkpoint-every=K   manifest flush cadence in cells (default 16)
+//   --checkpoint-every=K   manifest flush cadence in cells, >= 1 (default 16)
 //   --resume           skip cells already recorded in the manifest; the
 //                      merged result is bit-identical to an uninterrupted run
 //   --timeout=SECONDS  wall-clock budget per cell (0 = unlimited)
@@ -61,6 +61,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -416,25 +417,36 @@ int main(int argc, char** argv) {
     settings.config.replicates =
         static_cast<std::size_t>(args.get_uint64("replicates", 25));
     settings.config.seed = args.get_uint64("seed", 20150721);
+    // The budget max_time · n must be a positive uint64 interaction count.
     const double max_time = args.get_double("max-time", 2000.0);
-    settings.config.max_interactions = static_cast<std::uint64_t>(
-        max_time * static_cast<double>(settings.config.n));
+    const double budget = max_time * static_cast<double>(settings.config.n);
+    if (!(max_time > 0.0 && budget < 0x1p64)) {
+      throw std::runtime_error(
+          "flag --max-time: must be > 0 with max-time * n below 2^64");
+    }
+    settings.config.max_interactions = static_cast<std::uint64_t>(budget);
     settings.threads = static_cast<std::size_t>(args.get_uint64("threads", 0));
     settings.json_path = args.get_string("json", "");
     settings.csv_path = args.get_string("csv", "");
     settings.recovery_cfg.manifest_path = args.get_string("checkpoint", "");
     settings.recovery_cfg.checkpoint_every =
-        static_cast<std::size_t>(args.get_int("checkpoint-every", 16));
+        static_cast<std::size_t>(args.get_uint64("checkpoint-every", 16));
+    if (settings.recovery_cfg.checkpoint_every < 1) {
+      throw std::runtime_error("flag --checkpoint-every: must be >= 1");
+    }
     settings.recovery_cfg.resume = args.get_bool("resume", false);
     if (settings.recovery_cfg.resume &&
         settings.recovery_cfg.manifest_path.empty()) {
       throw std::runtime_error("--resume requires --checkpoint=PATH");
     }
-    settings.recovery_cfg.run.cell_timeout =
-        std::chrono::milliseconds(static_cast<std::int64_t>(
-            args.get_double("timeout", 0.0) * 1000.0));
+    const double timeout = args.get_double("timeout", 0.0);
+    if (!(std::isfinite(timeout) && timeout >= 0.0)) {
+      throw std::runtime_error("flag --timeout: must be finite and >= 0");
+    }
+    settings.recovery_cfg.run.cell_timeout = std::chrono::milliseconds(
+        static_cast<std::int64_t>(timeout * 1000.0));
     settings.recovery_cfg.run.max_retries =
-        static_cast<std::size_t>(args.get_int("retries", 1));
+        static_cast<std::size_t>(args.get_uint64("retries", 1));
     settings.record_prefix = args.get_string("record", "");
     settings.prom_path = args.get_string("prom-out", "");
     settings.trace_path = args.get_string("trace-out", "");
